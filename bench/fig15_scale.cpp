@@ -6,6 +6,7 @@
 // diff engine throughput against the recorded baseline.
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -180,7 +181,6 @@ void write_json(const std::vector<ScaleRow>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     body << "      {\"topo\": \"" << r.topo << "\", \"shards\": " << r.shards
-         << ", \"sync\": \"" << r.exp.sync << "\""
          << ", \"events\": " << r.exp.events_processed
          << ", \"wall_sec\": " << r.exp.wall_sec
          << ", \"events_per_sec\": "
@@ -225,25 +225,41 @@ void write_json(const std::vector<ScaleRow>& rows) {
 
 }  // namespace
 
+// Every fabric main() can sweep, in sweep order.
+constexpr const char* kTopoNames[] = {"t1_128", "t3_1024", "t3_4096",
+                                      "t3_16384", "t3_65536"};
+
 // BFC_FIG15_TOPOS selects which fabrics to sweep (comma-separated names);
 // the default runs every default-on fabric. The 16384- and 65536-host
 // presets are opt-in (`default_on=false`): their sweeps are sized for the
 // Release perf job and would blow the sanitizer legs' budget, so they
-// only run when the env var names them explicitly.
+// only run when the env var names them explicitly. An unknown name
+// fails the run — a typo must not silently sweep nothing.
 bool topo_selected(const char* name, bool default_on = true) {
   const char* env = std::getenv("BFC_FIG15_TOPOS");
   if (env == nullptr || *env == '\0') return default_on;
   const std::string list(env);
-  const std::string needle(name);
+  bool hit = false;
   std::size_t pos = 0;
   while (pos <= list.size()) {
     const std::size_t comma = list.find(',', pos);
     const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (list.compare(pos, end - pos, needle) == 0) return true;
+    const std::string item = list.substr(pos, end - pos);
+    if (std::find(std::begin(kTopoNames), std::end(kTopoNames), item) ==
+        std::end(kTopoNames)) {
+      std::fprintf(stderr,
+                   "fig15_scale: BFC_FIG15_TOPOS='%s' names unknown fabric "
+                   "'%s'; valid names:", env, item.c_str());
+      for (const char* t : kTopoNames) std::fprintf(stderr, " %s", t);
+      std::fprintf(stderr, "\n");
+      // exit, not abort: ctest's WILL_FAIL only inverts a nonzero exit.
+      std::exit(2);
+    }
+    if (item == name) hit = true;
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return false;
+  return hit;
 }
 
 // BFC_FIG15_SHARDS overrides the shard-count lists (comma-separated,
@@ -283,7 +299,7 @@ int main() {
                 "multi-shard events/sec exceeds single-shard on the "
                 "full-scale (3-tier, 1024+-host) workloads, and every "
                 "shard count reports bit-identical stats at the same seed");
-  // T1 (128 hosts) is the small reference: barrier overhead can eat the
+  // T1 (128 hosts) is the small reference: sync overhead can eat the
   // parallel win there. The 3-tier 1024/4096/16384-host fabrics are the
   // scale targets; the bigger presets run shorter sim windows so the full
   // sweep stays tractable at scale 1. t3_16384 — opened by lazy switch

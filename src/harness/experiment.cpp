@@ -131,7 +131,7 @@ ExperimentRun::ExperimentRun(const TopoGraph& topo,
   faults_ = cfg_.faults.empty()
                 ? FaultPlan::from_env(topo_, cfg_.traffic.stop)
                 : cfg_.faults;
-  sim_ = std::make_unique<ShardedSimulator>(topo_, shards_, cfg_.sync);
+  sim_ = std::make_unique<ShardedSimulator>(topo_, shards_);
   net_ = std::make_unique<Network>(*sim_, topo_, cfg_.scheme,
                                    cfg_.overrides);
   series_.resize(net_->switches().size());
@@ -461,7 +461,6 @@ ExperimentResult ExperimentRun::collect() {
     r.shard_events.push_back(sim.shard(s).events_run());
   }
   r.wall_sec = wall_sec_;
-  r.sync = sim.sync_name();
   r.events_stolen = sim.events_stolen();
   r.inbox_overflows = sim.inbox_overflows();
   // Device rollups: always on, deterministic (pure sim-time functions).

@@ -54,8 +54,6 @@ struct ExperimentConfig {
   Time drain = milliseconds(2);  // run past traffic.stop for completions
   Time buffer_sample_period = microseconds(10);
   int shards = 0;  // engine shards; 0 = BFC_SHARDS env (default 1)
-  // Cross-shard sync protocol; kEnv = BFC_SYNC env (default channel).
-  SyncMode sync = SyncMode::kEnv;
   // Fault plane: link flaps / node failures injected as pre-seeded engine
   // events (core/fault.hpp). Installed right after Network construction;
   // an empty plan is a no-op. The config (and thus the plan) must outlive
@@ -111,11 +109,9 @@ struct ExperimentResult {
   std::uint64_t events_processed = 0;
   std::vector<std::uint64_t> shard_events;  // events run per shard
   double wall_sec = 0;
-  // Sync-protocol telemetry. `sync` names the resolved protocol;
-  // events_stolen / inbox_overflows describe scheduling, not simulation,
-  // so determinism checks must NOT compare them (they legitimately vary
-  // run to run under work stealing).
-  std::string sync;
+  // Sync-protocol telemetry: events_stolen / inbox_overflows describe
+  // scheduling, not simulation, so determinism checks must NOT compare
+  // them (they legitimately vary run to run under work stealing).
   std::uint64_t events_stolen = 0;
   std::uint64_t inbox_overflows = 0;
   // Engine telemetry rollups (BFC_METRICS / BFC_TRACE; all zero when the
@@ -184,8 +180,8 @@ class ExperimentRun {
 
   // Warm start: fresh engine/network at cfg.shards, state from cp. The
   // config must describe the same experiment the checkpoint was taken
-  // from (snapshot fingerprint enforces it); only the shard count and
-  // sync mode may differ. Returns nullptr and sets *error on mismatch.
+  // from (snapshot fingerprint enforces it); only the shard count may
+  // differ. Returns nullptr and sets *error on mismatch.
   static std::unique_ptr<ExperimentRun> restore(const TopoGraph& topo,
                                                 const ExperimentConfig& cfg,
                                                 const WarmCheckpoint& cp,

@@ -3,7 +3,7 @@
 // reported stat. Runs the same experiment at 1, 2, 4, and 8 shards on a
 // 3-tier fabric and requires bit-identical flow records, buffer samples,
 // and counters. (At 8 shards every core group rides its own shard, so
-// the greedy partition's host-less groups cross the mailbox machinery
+// the greedy partition's host-less groups cross the inbox-ring machinery
 // too.)
 #include "harness/experiment.hpp"
 
@@ -50,7 +50,7 @@ void check_scheme(const TopoGraph& topo, Scheme scheme) {
   CHECK(one.flows_started > 0);
   CHECK(one.flows_completed > 0);
   // Re-running at 1 shard is trivially reproducible; 2, 4, and 8 shards
-  // cross the mailbox/lookahead machinery and must still match bit for
+  // cross the inbox-ring/lookahead machinery and must still match bit for
   // bit.
   check_identical(one, run_with_shards(topo, scheme, 1));
   const ExperimentResult two = run_with_shards(topo, scheme, 2);

@@ -110,7 +110,6 @@ ExperimentConfig case_config(const TopoGraph& topo, const FuzzCase& c,
                              int shards) {
   ExperimentConfig cfg;
   cfg.scheme = c.scheme;
-  cfg.sync = SyncMode::kChannel;
   cfg.traffic.dist = &SizeDist::by_name("google");
   cfg.traffic.load = c.load;
   cfg.traffic.incast_load = c.incast_load;
@@ -316,7 +315,6 @@ long env_long(const char* name, long fallback) {
 }  // namespace
 
 int main() {
-  unsetenv("BFC_SYNC");
   // Arm the flight recorder for every case; it records scheduling-neutral
   // (at, key) pairs, so the determinism comparison itself doubles as a
   // continuous proof that recording never perturbs the simulation.

@@ -287,9 +287,8 @@ void test_inbox_ring() {
   for (Event* e : owned) pool.release(e);
 }
 
-ExperimentResult run_small(int shards, SyncMode sync) {
+ExperimentResult run_small(int shards) {
   ExperimentConfig cfg;
-  cfg.sync = sync;
   cfg.traffic.dist = &SizeDist::by_name("google");
   cfg.traffic.load = 0.5;
   cfg.traffic.incast_load = 0.05;
@@ -313,12 +312,12 @@ void check_stats_equal(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 // Work-stealing stranding: with stealing forced on every window, stats
-// must stay bit-identical to the barrier oracle (the engine hard-aborts
+// must stay bit-identical to the 1-shard oracle (the engine hard-aborts
 // if a stolen batch ever executes an event outside its window, so the
 // window invariant is checked by running at all), and some steals must
 // actually happen — a rig that never steals tests nothing.
 void test_steal_stranding() {
-  const ExperimentResult oracle = run_small(1, SyncMode::kBarrier);
+  const ExperimentResult oracle = run_small(1);
   setenv("BFC_STEAL", "1", 1);
   setenv("BFC_STEAL_THRESHOLD", "1", 1);
   std::uint64_t stolen = 0;
@@ -326,8 +325,7 @@ void test_steal_stranding() {
   // back is a thread-timing race (the results are not): retry a few times
   // for a nonzero steal count, checking determinism on every attempt.
   for (int attempt = 0; attempt < 8 && stolen == 0; ++attempt) {
-    const ExperimentResult got = run_small(2, SyncMode::kChannel);
-    CHECK(got.sync == "channel");
+    const ExperimentResult got = run_small(2);
     check_stats_equal(oracle, got);
     stolen = got.events_stolen;
   }
@@ -340,9 +338,9 @@ void test_steal_stranding() {
 // virtually every exchange, so the whole run rides the overflow FIFO and
 // the clock caps that make it invisible-but-safe. Stats must not move.
 void test_tiny_ring_full_sim() {
-  const ExperimentResult oracle = run_small(1, SyncMode::kBarrier);
+  const ExperimentResult oracle = run_small(1);
   setenv("BFC_INBOX_RING_CAP", "2", 1);
-  const ExperimentResult got = run_small(4, SyncMode::kChannel);
+  const ExperimentResult got = run_small(4);
   unsetenv("BFC_INBOX_RING_CAP");
   check_stats_equal(oracle, got);
   CHECK(got.inbox_overflows > 0);
@@ -365,7 +363,7 @@ void test_chunked_run_until() {
 
   setenv("BFC_INBOX_RING_CAP", "4", 1);  // park events across chunk ends
   auto run = [&](const std::vector<Time>& stops) {
-    ShardedSimulator sim(topo, 4, SyncMode::kChannel);
+    ShardedSimulator sim(topo, 4);
     Network net(sim, topo, Scheme::kBfc, NetworkOverrides{});
     for (const FlowArrival& a : generate_trace(topo, tcfg)) {
       net.prepare_flow(a.key, a.bytes, a.uid, a.incast, a.at);

@@ -179,7 +179,7 @@ def gate_fault(current, baseline, tolerance):
 # wall_sec / events_per_sec / peak_rss_kb / clock_* / steal_* /
 # ring_flush_events / wheel_hw / inbox_hw / events_stolen describe
 # scheduling and machine state, which legitimately differ between legs.
-ENGINE_ROW_DET_FIELDS = ("topo", "shards", "sync", "det", "events",
+ENGINE_ROW_DET_FIELDS = ("topo", "shards", "det", "events",
                          "shard_events", "ports_hw", "slab_hw")
 
 # Sections compared in full: every field they record is deterministic.
@@ -906,7 +906,7 @@ def self_test():
 
     # Warm-start compare: identical simulations pass whatever the
     # scheduling fields say; any deterministic-field drift fails.
-    row = {"topo": "t1_128", "shards": 4, "sync": "channel", "det": True,
+    row = {"topo": "t1_128", "shards": 4, "det": True,
            "events": 93_892, "shard_events": [20_000, 73_892],
            "ports_hw": 300, "slab_hw": 120, "wall_sec": 0.5,
            "events_per_sec": 187_784, "peak_rss_kb": 20_000}
