@@ -12,7 +12,6 @@
 #include "bench_util.hpp"
 
 #include "core/fault.hpp"
-#include "harness/sweep_server.hpp"
 
 using namespace bfc;
 
@@ -131,10 +130,9 @@ int main() {
       {"DCQCN+Win+IRN", Scheme::kDcqcnWin, true},
   };
 
-  // The three schemes share nothing restorable (different CC state), so
-  // the resident path serves them as a parallel batch of cold points;
-  // results are positional, so every printed line and recorded row is
-  // byte-identical to the serial path.
+  // The three schemes are independent points: run_points runs them in
+  // parallel and the results are positional, so every printed line and
+  // recorded row is byte-identical to a serial run.
   std::vector<ExperimentConfig> cfgs;
   for (const Row& row : rows) {
     ExperimentConfig cfg = bench::standard_config(row.scheme, "google", 0.60,
@@ -145,14 +143,10 @@ int main() {
     cfg.goodput_sample_period = period;
     cfgs.push_back(cfg);
   }
-  std::vector<ExperimentResult> results;
-  if (SweepServer::resident_enabled()) {
-    results = SweepServer::run_batch(topo, cfgs);
-  } else {
-    for (const ExperimentConfig& cfg : cfgs) {
-      results.push_back(run_experiment(topo, cfg));
-    }
-  }
+  std::vector<ExperimentResult> results(cfgs.size());
+  run_points(cfgs.size(), [&](std::size_t i) {
+    results[i] = run_experiment(topo, cfgs[i]);
+  });
   std::vector<Recovery> recs;
   for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].scheme = rows[i].name;

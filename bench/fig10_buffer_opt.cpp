@@ -4,16 +4,11 @@
 // (BFC-BufferOpt), occupancy grows linearly with the flow count.
 //
 // Every (scheme, flow-count) point is an isolated single-shard run, so
-// under BFC_RESIDENT=1 the points fan out over SweepServer::jobs() worker
-// threads; output and the recorded "fig10" JSON section are assembled
-// from the positional results afterward, so both are byte-identical to a
-// serial run (tools/perf_gate.py --compare holds CI to that).
-#include <atomic>
-#include <thread>
-
+// the points fan out over run_points worker threads; output and the
+// recorded "fig10" JSON section are assembled from the positional results
+// afterward, so both are byte-identical to a serial run.
 #include "bench_json.hpp"
 #include "bench_util.hpp"
-#include "harness/sweep_server.hpp"
 #include "stats/samplers.hpp"
 
 using namespace bfc;
@@ -127,29 +122,10 @@ int main() {
   }
 
   std::vector<PointResult> results(points.size());
-  if (SweepServer::resident_enabled() && SweepServer::jobs() > 1) {
-    // Resident mode: points are isolated (own sim+net each), so fan them
-    // out over a claim-counter pool. Results land positionally.
-    std::atomic<std::size_t> next{0};
-    auto work = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= points.size()) return;
-        results[i] = run_one(points[i].scheme, points[i].flows,
-                             points[i].stop_n);
-      }
-    };
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(SweepServer::jobs()), points.size()));
-    std::vector<std::thread> pool;
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& th : pool) th.join();
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      results[i] = run_one(points[i].scheme, points[i].flows,
-                           points[i].stop_n);
-    }
-  }
+  run_points(points.size(), [&](std::size_t i) {
+    results[i] =
+        run_one(points[i].scheme, points[i].flows, points[i].stop_n);
+  });
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointResult& r = results[i];
@@ -168,8 +144,7 @@ int main() {
   }
 
   // Machine-readable rows ("fig10" section): every field is a pure
-  // function of the simulation, so the CI warm-start gate compares the
-  // cold and resident legs' sections in full.
+  // function of the simulation.
   {
     std::ostringstream body;
     body.precision(3);

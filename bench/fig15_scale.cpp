@@ -13,7 +13,6 @@
 #include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "engine/timing_wheel.hpp"
-#include "harness/sweep_server.hpp"
 
 using namespace bfc;
 
@@ -35,24 +34,20 @@ ExperimentConfig sweep_config(Time stop) {
   return cfg;
 }
 
-ScaleRow finish_row(const char* name, int shards, ExperimentResult&& exp) {
+ScaleRow run_one(const char* name, const TopoGraph& topo, int shards,
+                 Time stop) {
+  ExperimentConfig cfg = sweep_config(stop);
+  cfg.shards = shards;
   ScaleRow row;
   row.topo = name;
   row.shards = shards;
-  row.exp = std::move(exp);
+  row.exp = run_experiment(topo, cfg);
   row.events_per_sec = row.exp.wall_sec > 0
                            ? static_cast<double>(row.exp.events_processed) /
                                  row.exp.wall_sec
                            : 0;
   row.peak_rss_kb = bench::read_peak_rss_kb();
   return row;
-}
-
-ScaleRow run_one(const char* name, const TopoGraph& topo, int shards,
-                 Time stop) {
-  ExperimentConfig cfg = sweep_config(stop);
-  cfg.shards = shards;
-  return finish_row(name, shards, run_experiment(topo, cfg));
 }
 
 bool same_stats(const ExperimentResult& a, const ExperimentResult& b) {
@@ -84,23 +79,10 @@ void sweep(const char* name, const TopoGraph& topo, Time stop,
   // lists that is the 1-shard run; a BFC_FIG15_SHARDS override may start
   // elsewhere — any point works, determinism is pairwise-transitive).
   const std::size_t base_idx = all.size();
-  if (SweepServer::resident_enabled()) {
-    // Resident mode: every row of a shard sweep replays the same logical
-    // simulation, so the server runs the traffic phase once, checkpoints,
-    // and warm-starts each row from the image — the rows' recorded stats
-    // must stay bit-identical (the det column and the CI warm-start gate
-    // both hold it to that). Row wall_sec then covers only the post-
-    // checkpoint portion, so events/sec is not comparable to a cold leg.
-    const ExperimentConfig base = sweep_config(stop);
-    std::vector<ExperimentResult> exps = SweepServer::run_shard_sweep(
-        topo, base, shard_counts, base.traffic.stop);
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-      all.push_back(finish_row(name, shard_counts[i], std::move(exps[i])));
-    }
-  } else {
-    for (int shards : shard_counts) {
-      all.push_back(run_one(name, topo, shards, stop));
-    }
+  // Rows are timings: each runs cold and alone, so its events/sec covers
+  // one whole run with the machine to itself.
+  for (int shards : shard_counts) {
+    all.push_back(run_one(name, topo, shards, stop));
   }
   double single_eps = 0, best_multi_eps = 0;
   for (std::size_t k = base_idx; k < all.size(); ++k) {

@@ -236,27 +236,14 @@ void Network::start_flow(const FlowKey& key, std::uint64_t bytes,
   static_cast<Nic*>(devices_[key.src])->add_flow(f);
 }
 
-void Network::prepare_flow(const FlowKey& key, std::uint64_t bytes,
-                           std::uint64_t uid, bool incast, Time at) {
-  Flow* f = make_flow(key, bytes, uid, incast);
-  stats_.on_flow_started(uid, key, f->bytes, at, incast);
-  Shard& s = sim_.shard_of_node(static_cast<int>(key.src));
-  Event* e = s.make_setup(static_cast<int>(key.src), at);
-  e->fn = &Nic::ev_flow_start;
-  e->obj = devices_[key.src];
-  e->u.misc = {f, 0, 0};
-  s.post_local(e);
-}
-
 void Network::stream_flow(const FlowKey& key, std::uint64_t bytes,
                           std::uint64_t uid, bool incast, Time at) {
   Flow* f = make_flow(key, bytes, uid, incast);
   const int shard = sim_.shard_of(static_cast<int>(key.src));
   starts_[static_cast<std::size_t>(shard)].push_back(
       {uid, key, f->bytes, at, incast});
-  // Identical event identity to the eager path: same setup sequence
-  // space, same entity, same timestamp — so the run's (at, key) order is
-  // bit-for-bit the order a pre-seeded trace would have produced.
+  // Setup sequence space, source entity, arrival timestamp: the run's
+  // (at, key) order is the trace order whenever the flow is streamed in.
   Shard& s = sim_.shard(shard);
   Event* e = s.make_setup(static_cast<int>(key.src), at);
   e->fn = &Nic::ev_flow_start;

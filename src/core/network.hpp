@@ -43,18 +43,13 @@ class Network {
 
   // Trace-driven start (the engine path used by run_experiment): records
   // the flow's identity now and activates it at `at` on the sender's
-  // shard. Deliberately does NOT resolve a route or derive RTT/CC state —
-  // preparing a trace on a 16384-host fabric costs identity bytes only;
-  // resolution happens at activation (resolve_flow). Must be called
-  // before run_until().
-  void prepare_flow(const FlowKey& key, std::uint64_t bytes,
-                    std::uint64_t uid, bool incast, Time at);
-
-  // Streaming start: same effect as prepare_flow — identical flow-start
-  // event key (setup sequence space), identical stats record — but legal
-  // mid-run from a shard-pinned pump closure running on the *owning*
-  // (key.src) shard. All state it touches is per-shard: the shard's flow
-  // map slice and its start log (folded by flow_stats()).
+  // shard, under a setup-space event key. Deliberately does NOT resolve a
+  // route or derive RTT/CC state — starting a trace on a 16384-host
+  // fabric costs identity bytes only; resolution happens at activation
+  // (resolve_flow). Legal before run_until() and mid-run from a
+  // shard-pinned pump closure running on the *owning* (key.src) shard:
+  // all state it touches is per-shard (the shard's flow map slice and its
+  // start log, folded by flow_stats()).
   void stream_flow(const FlowKey& key, std::uint64_t bytes,
                    std::uint64_t uid, bool incast, Time at);
 

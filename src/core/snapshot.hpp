@@ -27,7 +27,7 @@
 //
 // What is deliberately NOT serialized: closure (environment) events — the
 // harness owns its samplers and re-seeds them for ticks past the
-// checkpoint (see harness/sweep_server.hpp) — and every derived or cached
+// checkpoint (see ExperimentRun::restore) — and every derived or cached
 // field that the restore path can recompute (pause-horizon bytes, reclaim
 // horizons, head-pause memos, cached Bloom snapshots, route lookahead).
 #pragma once

@@ -49,12 +49,11 @@ class Shard;
 class ShardedSimulator;
 
 // Per-entity sequence numbers live in two disjoint spaces: *setup*
-// sequences (fault installation, flow prepare/stream starts) count from 0,
-// *runtime* sequences (everything a handler or closure posts while the
-// clock runs) carry this base bit. Splitting the spaces is what lets a
-// streamed flow start — drawn on demand mid-run — mint the exact key the
-// eager pre-seeded path would have minted, without the two paths racing
-// for one counter. Setup events have always been created before any
+// sequences (fault installation, flow starts) count from 0, *runtime*
+// sequences (everything a handler or closure posts while the clock runs)
+// carry this base bit. Splitting the spaces is what lets a streamed flow
+// start — drawn on demand mid-run — mint the same key whatever window it
+// was drawn in, without racing the runtime events for one counter. Setup events have always been created before any
 // runtime event of the same entity, so tagging runtime keys above every
 // setup key preserves the historical (at, key) order bit for bit.
 constexpr std::uint32_t kRunSeqBase = 0x80000000u;

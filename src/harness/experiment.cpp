@@ -1,9 +1,11 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "core/snapshot.hpp"
 #include "obs/metrics.hpp"
@@ -50,25 +52,6 @@ int default_shards() {
   }();
   return shards;
 }
-
-namespace {
-
-// BFC_EAGER_TRACE: -1 unset, else 0/1. Same abort-on-typo convention as
-// bench_scale — a typo must not silently flip the generator mode.
-int eager_trace_env() {
-  static const int v = [] {
-    const char* env = std::getenv("BFC_EAGER_TRACE");
-    if (env == nullptr || *env == '\0') return -1;
-    if (env[0] == '0' && env[1] == '\0') return 0;
-    if (env[0] == '1' && env[1] == '\0') return 1;
-    std::fprintf(stderr, "experiment: BFC_EAGER_TRACE='%s' is not 0 or 1\n",
-                 env);
-    std::abort();
-  }();
-  return v;
-}
-
-}  // namespace
 
 std::vector<SizeBin> paper_size_bins() {
   // Half-decade edges starting at 10^2.45 — the short-flow band the paper
@@ -121,8 +104,6 @@ ExperimentRun::ExperimentRun(const TopoGraph& topo,
   shards_ = cfg_.shards > 0 ? cfg_.shards : default_shards();
   horizon_ = cfg_.traffic.stop + cfg_.drain;
   period_ = cfg_.buffer_sample_period < 1 ? 1 : cfg_.buffer_sample_period;
-  const int env_eager = eager_trace_env();
-  eager_ = env_eager < 0 ? cfg_.eager_trace : env_eager != 0;
   gen_window_ = cfg_.gen_window < 1 ? 1 : cfg_.gen_window;
   // Resolve the fault schedule into a member (Network keeps a pointer, so
   // it must outlive net_): the scripted plan when given, else the
@@ -147,41 +128,30 @@ ExperimentRun::ExperimentRun(const TopoGraph& topo,
   // per-entity sequence numbers, so their position in the setup order is
   // part of the determinism contract (always before flow preparation).
   net_->install_faults(faults_);
-  if (eager_) {
-    // Materialized path: flows are pre-derived from the (open-loop)
-    // arrival trace and activated by per-NIC events, so a multi-shard run
-    // starts them without any cross-shard calls. Kept behind
-    // eager_trace/BFC_EAGER_TRACE as the streaming differential's
-    // reference.
-    for (const FlowArrival& a : generate_trace(topo_, cfg_.traffic)) {
-      net_->prepare_flow(a.key, a.bytes, a.uid, a.incast, a.at);
+  // One generator replica per host-owning shard. The first window is
+  // emitted inline here, right after the faults, so its flow-start events
+  // take the first setup-space sequence numbers; the rest is pulled
+  // window-by-window by shard-pinned pump closures.
+  const Time stop = cfg_.traffic.stop;
+  streams_.resize(static_cast<std::size_t>(sim_->n_shards()));
+  for (int s = 0; s < sim_->n_shards(); ++s) {
+    bool owns_host = false;
+    for (const Nic* nic : net_->nics()) {
+      if (sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
     }
-  } else {
-    // Streaming path: one generator replica per host-owning shard. The
-    // first window is emitted inline here (exactly where the eager path
-    // prepared its flows, so the setup-space sequence numbers line up);
-    // the rest is pulled window-by-window by shard-pinned pump closures.
-    const Time stop = cfg_.traffic.stop;
-    streams_.resize(static_cast<std::size_t>(sim_->n_shards()));
-    for (int s = 0; s < sim_->n_shards(); ++s) {
-      bool owns_host = false;
-      for (const Nic* nic : net_->nics()) {
-        if (sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
-      }
-      if (!owns_host) continue;
-      auto& stream = streams_[static_cast<std::size_t>(s)];
-      stream = std::make_unique<ArrivalStream>(topo_, cfg_.traffic);
-      stream->advance(std::min(gen_window_, stop),
-                      [this, s](const FlowArrival& a) {
-                        if (sim_->shard_of(static_cast<int>(a.key.src)) == s) {
-                          net_->stream_flow(a.key, a.bytes, a.uid, a.incast,
-                                            a.at);
-                        }
-                      });
-    }
+    if (!owns_host) continue;
+    auto& stream = streams_[static_cast<std::size_t>(s)];
+    stream = std::make_unique<ArrivalStream>(topo_, cfg_.traffic);
+    stream->advance(std::min(gen_window_, stop),
+                    [this, s](const FlowArrival& a) {
+                      if (sim_->shard_of(static_cast<int>(a.key.src)) == s) {
+                        net_->stream_flow(a.key, a.bytes, a.uid, a.incast,
+                                          a.at);
+                      }
+                    });
   }
   seed_samplers(/*resume_after=*/-1);
-  if (!eager_ && gen_window_ < cfg_.traffic.stop) {
+  if (gen_window_ < stop) {
     // Pump closures post after the samplers: at a shared tick the env
     // order is buffer, goodput, pump — in the restore path too.
     for (int s = 0; s < sim_->n_shards(); ++s) {
@@ -269,11 +239,9 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
     return nullptr;
   }
   run->cursor_ = cp.at;
-  if (cp.eager_trace != run->eager_ ||
-      (!run->eager_ && cp.gen_window != run->gen_window_)) {
+  if (cp.gen_window != run->gen_window_) {
     if (error != nullptr) {
-      *error = "checkpoint trace-generation mode (eager_trace/gen_window) "
-               "does not match the restore config";
+      *error = "checkpoint gen_window does not match the restore config";
     }
     return nullptr;
   }
@@ -302,18 +270,15 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
           : 0;
   // Streaming pump ticks executed by cp.at on each host-owning shard:
   // pumps sit at k*gen_window for k >= 1 while k*gen_window < stop.
-  std::uint64_t pump_ticks = 0;
-  if (!run->eager_) {
-    const Time stop = cfg.traffic.stop;
-    const std::uint64_t ran =
-        static_cast<std::uint64_t>(cp.at / run->gen_window_);
-    const Time last = stop - 1;  // largest boundary strictly before stop
-    const std::uint64_t exist =
-        last >= run->gen_window_
-            ? static_cast<std::uint64_t>(last / run->gen_window_)
-            : 0;
-    pump_ticks = std::min(ran, exist);
-  }
+  const Time stop = cfg.traffic.stop;
+  const std::uint64_t ran =
+      static_cast<std::uint64_t>(cp.at / run->gen_window_);
+  const Time last = stop - 1;  // largest boundary strictly before stop
+  const std::uint64_t exist =
+      last >= run->gen_window_
+          ? static_cast<std::uint64_t>(last / run->gen_window_)
+          : 0;
+  const std::uint64_t pump_ticks = std::min(ran, exist);
   for (int s = 0; s < run->sim_->n_shards(); ++s) {
     bool owns_switch = false;
     for (const Switch* sw : run->net_->switches()) {
@@ -335,25 +300,22 @@ std::unique_ptr<ExperimentRun> ExperimentRun::restore(
   // discarded. C is the coverage invariant of the pump cadence: the pump
   // at floor(cp.at/H)*H (or the ctor's inline window) already emitted
   // through the *next* boundary, clamped to stop.
-  if (!run->eager_) {
-    const Time stop = cfg.traffic.stop;
-    const Time b_next = (cp.at / run->gen_window_ + 1) * run->gen_window_;
-    const Time covered = std::min(b_next, stop);
-    run->streams_.resize(static_cast<std::size_t>(run->sim_->n_shards()));
-    for (int s = 0; s < run->sim_->n_shards(); ++s) {
-      bool owns_host = false;
-      for (const Nic* nic : run->net_->nics()) {
-        if (run->sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
-      }
-      if (!owns_host) continue;
-      auto& stream = run->streams_[static_cast<std::size_t>(s)];
-      stream = std::make_unique<ArrivalStream>(run->topo_, cfg.traffic);
-      stream->advance(covered, /*sink=*/nullptr);
-      if (covered < stop) {
-        ExperimentRun* rp = run.get();
-        run->sim_->shard(s).post_closure(
-            b_next, [rp, s, b_next] { rp->pump(s, b_next); });
-      }
+  const Time b_next = (cp.at / run->gen_window_ + 1) * run->gen_window_;
+  const Time covered = std::min(b_next, stop);
+  run->streams_.resize(static_cast<std::size_t>(run->sim_->n_shards()));
+  for (int s = 0; s < run->sim_->n_shards(); ++s) {
+    bool owns_host = false;
+    for (const Nic* nic : run->net_->nics()) {
+      if (run->sim_->shard_of(nic->id()) == s) { owns_host = true; break; }
+    }
+    if (!owns_host) continue;
+    auto& stream = run->streams_[static_cast<std::size_t>(s)];
+    stream = std::make_unique<ArrivalStream>(run->topo_, cfg.traffic);
+    stream->advance(covered, /*sink=*/nullptr);
+    if (covered < stop) {
+      ExperimentRun* rp = run.get();
+      run->sim_->shard(s).post_closure(
+          b_next, [rp, s, b_next] { rp->pump(s, b_next); });
     }
   }
   return run;
@@ -374,7 +336,6 @@ WarmCheckpoint ExperimentRun::checkpoint() {
   cp.at = cursor_;
   cp.image = Snapshot::save(*sim_, *net_, cursor_);
   cp.buffer_prefix = series_;
-  cp.eager_trace = eager_;
   cp.gen_window = gen_window_;
   // Fold the per-shard goodput series into per-tick totals so the prefix
   // is meaningful at any restore-side shard count.
@@ -518,6 +479,31 @@ ExperimentResult run_experiment(const TopoGraph& topo,
   ExperimentRun run(topo, cfg);
   run.run_to(run.horizon());
   return run.collect();
+}
+
+void run_points(std::size_t n,
+                const std::function<void(std::size_t)>& point) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min({n, hw, std::size_t{8}});
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) point(i);
+    return;
+  }
+  // Index-claiming pool: points share nothing mutable (each builds its
+  // own engine + network over read-only inputs), so workers race only on
+  // the claim counter.
+  std::atomic<std::size_t> next{0};
+  auto work = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      point(i);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+  for (std::thread& th : pool) th.join();
 }
 
 }  // namespace bfc

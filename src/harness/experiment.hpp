@@ -3,11 +3,13 @@
 //
 // run_experiment is a thin wrapper over ExperimentRun, which additionally
 // supports pausing at a checkpoint (core/snapshot.hpp) and warm-starting
-// an identically-configured run from one — the machinery behind the
-// resident sweep server (harness/sweep_server.hpp).
+// an identically-configured run from one. run_points fans a batch of
+// independent points out over worker threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,15 +65,11 @@ struct ExperimentConfig {
   // bytes (summed over NICs) every period — the graceful-degradation
   // benches derive goodput-vs-time and recovery latency from it.
   Time goodput_sample_period = 0;
-  // Trace generation mode. The default streams arrivals: each host-owning
-  // shard replays the generator lazily, one gen_window at a time, and
-  // activates only its own sources — O(shards) generator state instead of
-  // a materialized arrival vector (the term that dominated harness RSS at
-  // 16k+ hosts). Both modes draw from the same RNG streams and mint
-  // identical event keys, so results are bit-identical (the differential
-  // test pins this); eager_trace=true keeps the materialized path.
-  // BFC_EAGER_TRACE=0/1 overrides for A/B without a rebuild.
-  bool eager_trace = false;
+  // Arrivals are streamed: each host-owning shard replays the generator
+  // lazily, one gen_window at a time, and activates only its own sources
+  // — O(shards) generator state instead of a materialized arrival vector
+  // (the term that dominated harness RSS at 16k+ hosts). A window of at
+  // least traffic.stop emits the whole trace at setup.
   Time gen_window = microseconds(50);
 };
 
@@ -144,6 +142,13 @@ struct ExperimentResult {
 ExperimentResult run_experiment(const TopoGraph& topo,
                                 const ExperimentConfig& cfg);
 
+// Runs point(0) .. point(n-1), each an independent simulation, on
+// min(n, hardware_concurrency, 8) threads — inline and in order when that
+// is 1 (the benches are memory-bound well before 8). point(i) must write
+// only its own result slot, so the caller's results are in input order
+// and byte-identical to a serial loop whatever the schedule.
+void run_points(std::size_t n, const std::function<void(std::size_t)>& point);
+
 // Everything a warm start needs beyond the Snapshot image: the samplers
 // are harness-owned closures (deliberately not serialized), so the series
 // they recorded up to the checkpoint ride along as plain prefixes.
@@ -155,11 +160,9 @@ struct WarmCheckpoint {
   // Per-tick delivered-payload totals (already summed over shards, so the
   // prefix is meaningful at any restore-side shard count).
   std::vector<std::int64_t> goodput_prefix;
-  // Generator mode the checkpoint was taken under. The restore side must
-  // match: the modes mint the same event keys but consume the per-shard
-  // generator replicas differently, so a silent switch would desync the
-  // stream fast-forward.
-  bool eager_trace = false;
+  // Generator window the checkpoint was taken under. The restore side
+  // must match, or the stream fast-forward would desync from the pumps
+  // the image already ran.
   Time gen_window = 0;
 };
 
@@ -170,8 +173,7 @@ struct WarmCheckpoint {
 //
 // checkpoint() pauses the run into a WarmCheckpoint; restore() builds a
 // new run that continues from one — bit-identical to a run that never
-// paused, at any shard count. The sweep server leans on this to serve a
-// batch of near-identical points from one warm prefix.
+// paused, at any shard count.
 class ExperimentRun {
  public:
   ExperimentRun(const TopoGraph& topo, const ExperimentConfig& cfg);
@@ -220,7 +222,6 @@ class ExperimentRun {
   ExperimentConfig cfg_;
   FaultPlan faults_;  // resolved plan; outlives net_ (declared before it)
   int shards_ = 1;
-  bool eager_ = false;     // cfg_.eager_trace after the env override
   Time gen_window_ = 1;
   Time horizon_ = 0;
   Time period_ = 1;
@@ -233,10 +234,10 @@ class ExperimentRun {
   std::vector<std::vector<double>> series_;              // per switch
   std::vector<std::vector<std::int64_t>> gseries_;       // per shard
   std::vector<std::int64_t> goodput_prefix_;             // warm runs only
-  // Streaming mode: one generator replica per host-owning shard (null
-  // elsewhere). Each replica replays the full trace and filters to its
-  // shard's sources, so the per-source arrival order — and thus every
-  // minted event key — matches the eager path exactly.
+  // One generator replica per host-owning shard (null elsewhere). Each
+  // replica replays the full trace and filters to its shard's sources, so
+  // the per-source arrival order — and thus every minted event key — is
+  // the same at any shard count and any gen_window.
   std::vector<std::unique_ptr<ArrivalStream>> streams_;
 };
 

@@ -1,7 +1,11 @@
 #include "obs/trace.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 namespace bfc::obs {
 
@@ -64,7 +68,14 @@ void emit_span(std::FILE* f, int shard, const TraceSpan& s, bool* first) {
 }  // namespace
 
 bool write_chrome_trace(const char* path, const Telemetry& t) {
-  std::FILE* f = std::fopen(path, "w");
+  // Concurrent runs (run_points) may export to one path: each writer fills
+  // its own temporary file in the same directory, then rename()s it over
+  // the path, so the file is always one writer's complete trace.
+  static std::atomic<unsigned> writers{0};
+  const std::string tmp = std::string(path) + ".tmp." +
+                          std::to_string(::getpid()) + "." +
+                          std::to_string(writers.fetch_add(1));
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
   bool first = true;
@@ -80,8 +91,12 @@ bool write_chrome_trace(const char* path, const Telemetry& t) {
   }
   std::fprintf(f, "\n]}\n");
   const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  if (std::fclose(f) != 0 || !ok ||
+      std::rename(tmp.c_str(), path) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace bfc::obs

@@ -13,8 +13,9 @@
 
 namespace bfc::obs {
 
-// Writes `t`'s buffered spans and counter samples to `path`; returns
-// false on I/O failure.
+// Writes `t`'s buffered spans and counter samples to `path` through a
+// per-writer temporary file renamed over it, so concurrent writers leave
+// one whole trace; returns false on I/O failure.
 bool write_chrome_trace(const char* path, const Telemetry& t);
 
 }  // namespace bfc::obs

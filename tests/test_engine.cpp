@@ -366,7 +366,7 @@ void test_chunked_run_until() {
     ShardedSimulator sim(topo, 4);
     Network net(sim, topo, Scheme::kBfc, NetworkOverrides{});
     for (const FlowArrival& a : generate_trace(topo, tcfg)) {
-      net.prepare_flow(a.key, a.bytes, a.uid, a.incast, a.at);
+      net.stream_flow(a.key, a.bytes, a.uid, a.incast, a.at);
     }
     for (const Time t : stops) sim.run_until(t);
     std::vector<std::pair<std::uint64_t, Time>> ends;

@@ -87,7 +87,7 @@ void lazy_matches_eager_after_run() {
     const FlowKey key{static_cast<std::uint32_t>(src),
                       static_cast<std::uint32_t>(dst),
                       static_cast<std::uint16_t>(1000 + i), 80};
-    net.prepare_flow(key, 20'000, uid, false, microseconds(i));
+    net.stream_flow(key, 20'000, uid, false, microseconds(i));
     uids.push_back(uid);
     ++uid;
   }

@@ -1,9 +1,10 @@
 // The checkpoint/warm-start contract (core/snapshot.hpp), end to end:
 //
-//   * Exact continuation — pause a run mid-traffic, restore onto a fresh
-//     engine at 1/2/4 shards, finish: every reported stat (flow records,
-//     buffer series, event totals, per-shard event counts) is
-//     bit-identical to a run that never paused at that shard count.
+//   * Exact continuation — pause a run mid-traffic or at the traffic stop,
+//     restore onto a fresh engine at 1/2/4 shards, finish: every reported
+//     stat (flow records, buffer series, event totals, per-shard event
+//     counts) is bit-identical to a run that never paused at that shard
+//     count.
 //   * Layout independence — save() at 1 shard and at 4 shards of the
 //     same simulated moment produce identical bytes, and a restored run
 //     re-saves to the identical image.
@@ -11,12 +12,15 @@
 //     the fault plane exactly (pending transition events ride the image).
 //   * Versioned rejection — corrupted magic/version headers and
 //     mismatched configurations are refused, never half-restored.
+//   * Parallel points — run_points fans independent experiments out over
+//     threads; the results are in input order and identical to serial
+//     runs.
 #include "core/snapshot.hpp"
 
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
-#include "harness/sweep_server.hpp"
 #include "test_util.hpp"
 
 using namespace bfc;
@@ -77,16 +81,19 @@ void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 void check_continuation(const TopoGraph& topo, bool storm) {
-  const Time pause_at = microseconds(100);
-
-  // Take the checkpoint from a 1-shard run paused mid-traffic.
-  ExperimentConfig warm_cfg = base_config(1, storm, topo);
-  ExperimentRun warm(topo, warm_cfg);
-  warm.run_to(pause_at);
-  WarmCheckpoint cp = warm.checkpoint();
-  CHECK(cp.at == pause_at);
-  CHECK(!cp.image.empty());
-  CHECK(Snapshot::saved_time(cp.image) == pause_at);
+  // Checkpoints from a 1-shard run paused mid-traffic, and at the traffic
+  // stop: by then the generators have emitted the whole trace, so the
+  // restore re-posts no pump and only the drain remains.
+  const ExperimentConfig warm_cfg = base_config(1, storm, topo);
+  std::vector<WarmCheckpoint> cps;
+  for (const Time pause_at : {microseconds(100), warm_cfg.traffic.stop}) {
+    ExperimentRun warm(topo, warm_cfg);
+    warm.run_to(pause_at);
+    cps.push_back(warm.checkpoint());
+    CHECK(cps.back().at == pause_at);
+    CHECK(!cps.back().image.empty());
+    CHECK(Snapshot::saved_time(cps.back().image) == pause_at);
+  }
 
   for (const int shards : {1, 2, 4}) {
     const ExperimentConfig cfg = base_config(shards, storm, topo);
@@ -94,20 +101,23 @@ void check_continuation(const TopoGraph& topo, bool storm) {
     CHECK(cold.flows_completed > 0);
     if (storm) CHECK(cold.blackholed + cold.reroutes > 0);
 
-    std::string err;
-    std::unique_ptr<ExperimentRun> run =
-        ExperimentRun::restore(topo, cfg, cp, &err);
-    if (run == nullptr) {
-      std::fprintf(stderr, "restore(shards=%d) failed: %s\n", shards,
-                   err.c_str());
-      CHECK(run != nullptr);
+    for (const WarmCheckpoint& cp : cps) {
+      std::string err;
+      std::unique_ptr<ExperimentRun> run =
+          ExperimentRun::restore(topo, cfg, cp, &err);
+      if (run == nullptr) {
+        std::fprintf(stderr, "restore(shards=%d, at=%.0fus) failed: %s\n",
+                     shards, to_usec(cp.at), err.c_str());
+        CHECK(run != nullptr);
+      }
+      const ExperimentResult thawed = run->collect();
+      CHECK(thawed.shards == shards);
+      check_identical(cold, thawed);
+      // Per-shard totals too: the node-attributed counts plus the
+      // harness's closure credit must rebuild exactly what an unbroken
+      // run reports.
+      CHECK(cold.shard_events == thawed.shard_events);
     }
-    const ExperimentResult thawed = run->collect();
-    CHECK(thawed.shards == shards);
-    check_identical(cold, thawed);
-    // Per-shard totals too: the node-attributed counts plus the harness's
-    // closure credit must rebuild exactly what an unbroken run reports.
-    CHECK(cold.shard_events == thawed.shard_events);
   }
 }
 
@@ -240,35 +250,25 @@ void check_t3_4096_scale_snapshot() {
   CHECK(cold.shard_events == thawed.shard_events);
 }
 
-void check_sweep_server(const TopoGraph& topo) {
-  // run_shard_sweep serves 1/2/4-shard rows from one warm prefix; each
-  // row must match its cold twin.
-  const ExperimentConfig base = base_config(0, /*storm=*/true, topo);
-  const std::vector<ExperimentResult> rows =
-      SweepServer::run_shard_sweep(topo, base, {1, 2, 4},
-                                   microseconds(100));
-  CHECK(rows.size() == 3);
-  const int counts[3] = {1, 2, 4};
-  for (int i = 0; i < 3; ++i) {
-    ExperimentConfig cfg = base;
-    cfg.shards = counts[i];
-    const ExperimentResult cold = run_experiment(topo, cfg);
-    CHECK(rows[static_cast<std::size_t>(i)].shards == counts[i]);
-    check_identical(cold, rows[static_cast<std::size_t>(i)]);
-    CHECK(cold.shard_events ==
-          rows[static_cast<std::size_t>(i)].shard_events);
-  }
-
-  // run_batch: positional results, identical to serial cold runs.
+void check_run_points(const TopoGraph& topo) {
+  // Distinct points (storm on/off, one multi-shard) so a result landing
+  // in the wrong slot cannot pass.
   std::vector<ExperimentConfig> cfgs;
   cfgs.push_back(base_config(1, /*storm=*/false, topo));
   cfgs.push_back(base_config(1, /*storm=*/true, topo));
-  const std::vector<ExperimentResult> batch =
-      SweepServer::run_batch(topo, cfgs);
-  CHECK(batch.size() == 2);
+  cfgs.push_back(base_config(2, /*storm=*/true, topo));
+  std::vector<ExperimentResult> batch(cfgs.size());
+  run_points(cfgs.size(), [&](std::size_t i) {
+    batch[i] = run_experiment(topo, cfgs[i]);
+  });
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    check_identical(run_experiment(topo, cfgs[i]), batch[i]);
+    const ExperimentResult serial = run_experiment(topo, cfgs[i]);
+    CHECK(batch[i].shards == serial.shards);
+    check_identical(serial, batch[i]);
+    CHECK(serial.shard_events == batch[i].shard_events);
   }
+  CHECK(batch[0].blackholed == 0);
+  CHECK(batch[1].blackholed + batch[1].reroutes > 0);
 }
 
 }  // namespace
@@ -279,7 +279,7 @@ int main() {
   check_continuation(topo, /*storm=*/true);
   check_layout_independence(topo);
   check_rejection(topo);
-  check_sweep_server(topo);
+  check_run_points(topo);
   check_t3_4096_scale_snapshot();
   return 0;
 }

@@ -1,11 +1,9 @@
-// Streaming-vs-materialized trace differential: the lazy per-shard
-// ArrivalStream pullers must reproduce the eager generate_trace schedule
-// exactly — same arrivals in the same order at any window size — and a
-// streamed experiment must report bit-identical end-to-end stats to an
-// eager one at every shard count. This is the oracle that lets streaming
-// be the default: the materialized path survived six PRs of determinism
-// testing, so any divergence is a streaming bug by construction.
-#include <cstdlib>
+// Streaming trace differential: the lazy per-shard ArrivalStream pullers
+// must reproduce the materialized generate_trace schedule exactly — same
+// arrivals in the same order at any window size — and an experiment that
+// streams its trace window by window must report bit-identical end-to-end
+// stats to a one-window run (gen_window >= traffic.stop: the whole trace
+// is emitted at setup, before the clock starts) at every shard count.
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -56,20 +54,20 @@ void check_trace_identity(const char* name, const TopoGraph& topo,
               eager.size(), to_usec(window));
 }
 
-ExperimentResult run_mode(const TopoGraph& topo, int shards, bool eager) {
+ExperimentResult run_windowed(const TopoGraph& topo, int shards,
+                              Time gen_window) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kBfc;
   cfg.traffic = traffic(microseconds(150), 7);
   cfg.drain = microseconds(450);
   cfg.shards = shards;
-  cfg.eager_trace = eager;
-  cfg.gen_window = microseconds(20);  // several pump windows per run
+  cfg.gen_window = gen_window;
   return run_experiment(topo, cfg);
 }
 
-// Simulation-level stats only: streaming adds its pump closures to the
-// env entity, so engine event *counts* legitimately differ between the
-// modes — what must not differ is anything the simulation computed.
+// Simulation-level stats only: each pump window adds a closure to the env
+// entity, so engine event *counts* legitimately differ between window
+// sizes — what must not differ is anything the simulation computed.
 void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
   CHECK(a.flows_started == b.flows_started);
   CHECK(a.flows_completed == b.flows_completed);
@@ -90,28 +88,20 @@ void check_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 void check_experiment_identity(const char* name, const TopoGraph& topo) {
-  const ExperimentResult oracle = run_mode(topo, 1, /*eager=*/true);
+  // One window covering the whole trace: every flow start is posted at
+  // setup and no pump ever runs — the reference schedule.
+  const ExperimentResult oracle = run_windowed(topo, 1, microseconds(150));
   CHECK(oracle.flows_started > 0);
   CHECK(oracle.flows_completed > 0);
   for (const int shards : {1, 2, 4}) {
-    const ExperimentResult streamed = run_mode(topo, shards, /*eager=*/false);
+    // Several pump windows per run.
+    const ExperimentResult streamed =
+        run_windowed(topo, shards, microseconds(20));
     CHECK(streamed.shards == shards);
     check_identical(oracle, streamed);
   }
   std::printf("experiment identity ok: %s (%llu flows, shards 1/2/4)\n", name,
               static_cast<unsigned long long>(oracle.flows_completed));
-}
-
-// The BFC_EAGER_TRACE env override must win over the config field in both
-// directions (it exists for A/B runs without a rebuild).
-void check_env_override(const TopoGraph& topo) {
-  setenv("BFC_EAGER_TRACE", "1", 1);
-  const ExperimentResult forced_eager = run_mode(topo, 2, /*eager=*/false);
-  setenv("BFC_EAGER_TRACE", "0", 1);
-  const ExperimentResult forced_stream = run_mode(topo, 2, /*eager=*/true);
-  unsetenv("BFC_EAGER_TRACE");
-  check_identical(forced_eager, forced_stream);
-  std::printf("BFC_EAGER_TRACE override ok\n");
 }
 
 }  // namespace
@@ -128,6 +118,5 @@ int main() {
   }
   check_experiment_identity("t1_128", t1);
   check_experiment_identity("t3_1024", t3);
-  check_env_override(t1);
   return 0;
 }

@@ -5,14 +5,20 @@
 // bit-identical to the telemetry-off baseline at the same shard count
 // (and across shard counts, which the off-baseline itself asserts).
 // Also sanity-checks the exported Chrome trace: it must be non-trivial
-// and carry the per-shard track metadata Perfetto keys on.
+// and carry the per-shard track metadata Perfetto keys on, and writers
+// racing on one export path must leave one whole, parseable trace.
 #include "harness/experiment.hpp"
 
+#include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+
+#include "obs/trace.hpp"
 
 #include "test_util.hpp"
 
@@ -72,6 +78,125 @@ std::string slurp(const char* path) {
   return ss.str();
 }
 
+// JSON syntax check, just enough for the exporter's output (objects,
+// arrays, escape-free strings, numbers): tells one whole trace from two
+// interleaved ones.
+class JsonCheck {
+ public:
+  explicit JsonCheck(const std::string& s) : s_(s) {}
+  bool ok() {
+    const bool v = value();
+    ws();
+    return v && i_ == s_.size();
+  }
+
+ private:
+  char peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
+  void ws() {
+    while (std::isspace(static_cast<unsigned char>(peek()))) ++i_;
+  }
+  bool eat(char c) {
+    ws();
+    if (peek() != c) return false;
+    ++i_;
+    return true;
+  }
+  bool str() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size() && s_[i_] != '"') ++i_;
+    return eat('"');
+  }
+  bool number() {
+    const std::size_t start = i_;
+    while (std::isdigit(static_cast<unsigned char>(peek())) ||
+           peek() == '-' || peek() == '.' || peek() == 'e' ||
+           peek() == 'E' || peek() == '+') {
+      ++i_;
+    }
+    return i_ > start;
+  }
+  template <class Item>
+  bool seq(char close, Item item) {
+    if (eat(close)) return true;
+    do {
+      if (!item()) return false;
+    } while (eat(','));
+    return eat(close);
+  }
+  bool value() {
+    ws();
+    if (eat('{')) {
+      return seq('}', [this] { return str() && eat(':') && value(); });
+    }
+    if (eat('[')) return seq(']', [this] { return value(); });
+    if (peek() == '"') return str();
+    return number();
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
+// A telemetry root with two tracks of 4000 clock-wait spans naming peer
+// `peer` (one digit): exports differ in content, not length, and each
+// takes many buffered writes.
+obs::Telemetry traced(int peer) {
+  const int n_shards = 2;
+  obs::Telemetry::Config cfg;
+  cfg.metrics = true;
+  cfg.trace = true;
+  obs::Telemetry t(cfg, n_shards);
+  for (int s = 0; s < n_shards; ++s) {
+    for (int i = 0; i < 4000; ++i) {
+      t.shard(s).span(obs::SpanKind::kClockWait, i * 10, i * 10 + 5, peer,
+                      0);
+    }
+  }
+  return t;
+}
+
+// Concurrent runs (run_points) share BFC_TRACE_OUT: two threads exporting
+// different traces to one path at once must leave exactly one writer's
+// complete trace behind after every round.
+void check_concurrent_export() {
+  const obs::Telemetry a = traced(1);
+  const obs::Telemetry b = traced(2);
+  const char* solo_a = "test_telemetry_solo_a.json";
+  const char* solo_b = "test_telemetry_solo_b.json";
+  CHECK(obs::write_chrome_trace(solo_a, a));
+  CHECK(obs::write_chrome_trace(solo_b, b));
+  const std::string want_a = slurp(solo_a);
+  const std::string want_b = slurp(solo_b);
+  std::remove(solo_a);
+  std::remove(solo_b);
+  CHECK(JsonCheck(want_a).ok());
+  CHECK(JsonCheck(want_b).ok());
+  CHECK(want_a != want_b);
+
+  const char* shared = "test_telemetry_shared.json";
+  for (int round = 0; round < 20; ++round) {
+    bool ok[2] = {true, true};
+    std::atomic<int> ready{0};
+    auto writer = [&](const obs::Telemetry& t, bool* res) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      for (int i = 0; i < 3; ++i) {
+        *res = obs::write_chrome_trace(shared, t) && *res;
+      }
+    };
+    std::thread ta(writer, std::cref(a), &ok[0]);
+    std::thread tb(writer, std::cref(b), &ok[1]);
+    ta.join();
+    tb.join();
+    CHECK(ok[0] && ok[1]);
+    const std::string got = slurp(shared);
+    CHECK(JsonCheck(got).ok());
+    CHECK(got == want_a || got == want_b);
+  }
+  std::remove(shared);
+}
+
 }  // namespace
 
 int main() {
@@ -127,6 +252,8 @@ int main() {
   for (const auto& ring : fl.flight) recorded += ring.size();
   CHECK(recorded > 0);
   clear_knobs();
+
+  check_concurrent_export();
 
   std::printf("test_telemetry_determinism: OK\n");
   return 0;

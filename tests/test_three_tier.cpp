@@ -170,7 +170,7 @@ void idle_t3_16384_allocates_nothing() {
     const FlowKey key{static_cast<std::uint32_t>(src),
                       static_cast<std::uint32_t>(dst),
                       static_cast<std::uint16_t>(1000 + uid), 80};
-    net.prepare_flow(key, 100'000, uid, false, milliseconds(10));
+    net.stream_flow(key, 100'000, uid, false, milliseconds(10));
   }
   sim.run_until(microseconds(200));
 

@@ -54,23 +54,10 @@ converges from its own cache window within a few pushes. Rows without a
 scale-matched baseline pass as "new". Shrinkage never fails: the whole
 point of the memory diet is the number going down.
 
-A separate mode gates the resident sweep server (BFC_RESIDENT=1):
-
-  --compare COLD WARM   warm-start correctness gate. COLD is the bench
-                        json recorded by the cold leg, WARM by the
-                        resident (checkpoint/warm-start) leg. The legs
-                        must describe the same simulation: fig15 engine
-                        rows are matched by (topo, shards) and compared
-                        on their deterministic fields (wall-clock,
-                        events/sec, rss and steal telemetry legitimately
-                        differ); the "fault" and "fig10" sections are
-                        pure functions of the simulation and must match
-                        byte for byte. Any difference fails.
-
 --self-test runs the gate against synthetic inputs (a >25% injected
 regression must fail, a healthy run must pass; rolling-median selection
-and the warm-start compare included) and is wired into CI so the gate
-itself is tested on every push.
+included) and is wired into CI so the gate itself is tested on every
+push.
 """
 
 import argparse
@@ -171,84 +158,6 @@ def gate_fault(current, baseline, tolerance):
     row("bfc_recovery_us", rec_status)
     row("bfc_blackholed", "info")
     row("bfc_buffer_p99_mb", "info")
-    return failures, "\n".join(lines) + "\n"
-
-
-# fig15 row fields that are pure functions of the simulation: the
-# warm-start compare holds the resident leg to these, and ONLY these —
-# wall_sec / events_per_sec / peak_rss_kb / clock_* / steal_* /
-# ring_flush_events / wheel_hw / inbox_hw / events_stolen describe
-# scheduling and machine state, which legitimately differ between legs.
-ENGINE_ROW_DET_FIELDS = ("topo", "shards", "det", "events",
-                         "shard_events", "ports_hw", "slab_hw")
-
-# Sections compared in full: every field they record is deterministic.
-FULL_COMPARE_SECTIONS = ("fault", "fig10")
-
-
-def diff_paths(a, b, path=""):
-    """Yields the paths at which two parsed-JSON values differ (shallow
-    names like /rows[3]/p99_kb), for actionable compare failures."""
-    if type(a) is not type(b):
-        yield path or "/"
-    elif isinstance(a, dict):
-        for k in sorted(set(a) | set(b)):
-            if k not in a or k not in b:
-                yield f"{path}/{k}"
-            else:
-                yield from diff_paths(a[k], b[k], f"{path}/{k}")
-    elif isinstance(a, list):
-        if len(a) != len(b):
-            yield f"{path} (length {len(a)} vs {len(b)})"
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from diff_paths(x, y, f"{path}[{i}]")
-    elif a != b:
-        yield path or "/"
-
-
-def compare_legs(cold_doc, warm_doc):
-    """Warm-start correctness gate: the resident leg must have recorded
-    the same simulation as the cold leg. Returns (failures, markdown)."""
-    failures = []
-    lines = ["## Warm-start correctness gate (cold vs resident leg)", "",
-             "| section | check | status |", "|---|---|---|"]
-
-    def rows_by_key(doc):
-        return {(r.get("topo"), r.get("shards")): r
-                for r in doc.get("engine", {}).get("rows", [])}
-
-    cold_rows, warm_rows = rows_by_key(cold_doc), rows_by_key(warm_doc)
-    engine_ok = True
-    if set(cold_rows) != set(warm_rows):
-        engine_ok = False
-        failures.append(
-            "engine: legs swept different (topo, shards) rows: "
-            f"{sorted(set(cold_rows) ^ set(warm_rows))}")
-    for key in sorted(set(cold_rows) & set(warm_rows)):
-        for field in ENGINE_ROW_DET_FIELDS:
-            if cold_rows[key].get(field) != warm_rows[key].get(field):
-                engine_ok = False
-                failures.append(
-                    f"engine row {key}: {field} differs (cold "
-                    f"{cold_rows[key].get(field)} vs resident "
-                    f"{warm_rows[key].get(field)})")
-    lines.append("| engine | {} rows x {} deterministic fields | {} |".format(
-        len(cold_rows), len(ENGINE_ROW_DET_FIELDS),
-        "ok" if engine_ok else "FAIL"))
-
-    for name in FULL_COMPARE_SECTIONS:
-        c, w = cold_doc.get(name, {}), warm_doc.get(name, {})
-        if c == w:
-            lines.append(f"| {name} | full section | "
-                         f"{'ok' if c else 'ok (absent from both legs)'} |")
-            continue
-        diffs = list(diff_paths(c, w))
-        for p in diffs[:10]:
-            failures.append(f"{name}: differs at {p}")
-        if len(diffs) > 10:
-            failures.append(f"{name}: ...and {len(diffs) - 10} more paths")
-        lines.append(f"| {name} | full section | FAIL "
-                     f"({len(diffs)} differing paths) |")
     return failures, "\n".join(lines) + "\n"
 
 
@@ -904,48 +813,6 @@ def self_test():
     ff, _ = gate_fault(lost, {}, 0.25)
     assert ff, "invariants hold even with no committed fault baseline"
 
-    # Warm-start compare: identical simulations pass whatever the
-    # scheduling fields say; any deterministic-field drift fails.
-    row = {"topo": "t1_128", "shards": 4, "det": True,
-           "events": 93_892, "shard_events": [20_000, 73_892],
-           "ports_hw": 300, "slab_hw": 120, "wall_sec": 0.5,
-           "events_per_sec": 187_784, "peak_rss_kb": 20_000}
-    cold = {"engine": {"rows": [row]},
-            "fault": {"rows": {"BFC": {"blackholed": 3}}},
-            "fig10": {"rows": [{"flows": 8, "p99_kb": 75.1}]}}
-    warm = json.loads(json.dumps(cold))
-    warm["engine"]["rows"][0].update(wall_sec=0.1, events_per_sec=938_920,
-                                     peak_rss_kb=44_000)
-    ff, rep = compare_legs(cold, warm)
-    assert ff == [], "scheduling-field drift must pass the compare"
-    assert "| engine |" in rep and "ok" in rep
-    drifted = json.loads(json.dumps(warm))
-    drifted["engine"]["rows"][0]["events"] += 1
-    ff, _ = compare_legs(cold, drifted)
-    assert any("events differs" in m for m in ff), \
-        "a deterministic engine field drifting must fail"
-    drifted = json.loads(json.dumps(warm))
-    drifted["engine"]["rows"][0]["shard_events"] = [20_001, 73_891]
-    ff, _ = compare_legs(cold, drifted)
-    assert ff, "per-shard event drift must fail"
-    drifted = json.loads(json.dumps(warm))
-    drifted["fig10"]["rows"][0]["p99_kb"] = 99.0
-    ff, rep = compare_legs(cold, drifted)
-    assert any("fig10" in m and "p99_kb" in m for m in ff), \
-        "a fig10 field drifting must fail with its path named"
-    assert "FAIL" in rep
-    drifted = json.loads(json.dumps(warm))
-    del drifted["fault"]
-    ff, _ = compare_legs(cold, drifted)
-    assert any("fault" in m for m in ff), \
-        "a leg dropping a recorded section must fail"
-    missing_row = json.loads(json.dumps(warm))
-    missing_row["engine"]["rows"] = []
-    ff, _ = compare_legs(cold, missing_row)
-    assert any("different (topo, shards) rows" in m for m in ff), \
-        "legs sweeping different rows must fail"
-    ff, _ = compare_legs({}, {})
-    assert ff == [], "two empty docs trivially match"
     print("perf_gate self-test ok")
 
 
@@ -980,31 +847,14 @@ def main():
                          "vs the rolling baseline (default 0.15)")
     ap.add_argument("--summary", default=os.environ.get("GITHUB_STEP_SUMMARY"),
                     help="markdown file to append the trajectory diff to")
-    ap.add_argument("--compare", nargs=2, metavar=("COLD", "WARM"),
-                    help="warm-start correctness gate: compare the cold "
-                         "leg's bench json against the resident leg's")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
 
     if args.self_test:
         self_test()
         return 0
-    if args.compare:
-        with open(args.compare[0]) as f:
-            cold_doc = json.load(f)
-        with open(args.compare[1]) as f:
-            warm_doc = json.load(f)
-        failures, report = compare_legs(cold_doc, warm_doc)
-        print(report)
-        if args.summary:
-            with open(args.summary, "a") as f:
-                f.write(report)
-        for msg in failures:
-            print("perf_gate FAIL:", msg, file=sys.stderr)
-        return 1 if failures else 0
     if not args.current or not args.baseline:
-        ap.error("--current, --baseline (or --self-test / --compare) "
-                 "are required")
+        ap.error("--current and --baseline (or --self-test) are required")
 
     current, cur_scale, _ = load_topos(args.current)
     committed, base_scale, pr2 = load_topos(args.baseline)
