@@ -1,6 +1,7 @@
 #include "core/nic.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/cc.hpp"
 #include "core/network.hpp"
@@ -375,21 +376,38 @@ void Nic::on_ack(const AckInfo& ack) {
 }
 
 void Nic::arm_rto(Flow* f) {
-  const int gen = ++f->rto_gen;
-  Event* e = shard_->make(node_, shard_->now() + f->rto);
+  // Re-arming (every ack) only moves the deadline and mints its key now,
+  // exactly where an eagerly posted timer would take its place in the
+  // (at, key) order. The one pending event carries the timer forward.
+  f->rto_at = shard_->now() + f->rto;
+  f->rto_key = shard_->next_key(node_);
+  if (!f->rto_armed) post_rto(f);
+}
+
+void Nic::post_rto(Flow* f) {
+  f->rto_armed = true;
+  Event* e = shard_->make_keyed(f->rto_key, f->rto_at);
   e->fn = &Nic::ev_rto;
   e->obj = this;
-  e->u.misc = {f, gen, 0};
+  e->u.misc = {f, 0, 0};
   shard_->post_local(e);
 }
 
 void Nic::ev_rto(Event& e) {
-  static_cast<Nic*>(e.obj)->fire_rto(static_cast<Flow*>(e.u.misc.p1),
-                                     e.u.misc.i1);
+  static_cast<Nic*>(e.obj)->fire_rto(static_cast<Flow*>(e.u.misc.p1), e.at,
+                                     e.key);
 }
 
-void Nic::fire_rto(Flow* f, int gen) {
-  if (gen != f->rto_gen || f->sender_done) return;
+void Nic::fire_rto(Flow* f, Time at, std::uint64_t key) {
+  f->rto_armed = false;
+  if (f->sender_done) return;
+  if (at != f->rto_at || key != f->rto_key) {
+    // Re-armed since this event was posted. Deadlines only move later
+    // (now + a per-flow constant), so the stored pair is still ahead.
+    assert(at < f->rto_at || (at == f->rto_at && key < f->rto_key));
+    post_rto(f);
+    return;
+  }
   const Time now = shard_->now();
   if (net_.params().bfc && pause_bits_ &&
       bloom_snapshot_contains(*pause_bits_, f->vfid,
@@ -403,11 +421,9 @@ void Nic::fire_rto(Flow* f, int gen) {
   }
   if (now - f->last_progress < f->rto) {
     // Progress happened since arming: re-arm relative to it.
-    Event* e = shard_->make(node_, f->last_progress + f->rto);
-    e->fn = &Nic::ev_rto;
-    e->obj = this;
-    e->u.misc = {f, gen, 0};
-    shard_->post_local(e);
+    f->rto_at = f->last_progress + f->rto;
+    f->rto_key = shard_->next_key(node_);
+    post_rto(f);
     return;
   }
   ++stats_.rto_fires;

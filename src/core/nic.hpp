@@ -85,7 +85,7 @@ class Nic : public Device {
 
   static void ev_tx_done(Event& e);  // obj=Nic
   static void ev_wake(Event& e);     // obj=Nic, u.timer.i0=gate time
-  static void ev_rto(Event& e);      // obj=Nic, u.misc={Flow, generation}
+  static void ev_rto(Event& e);      // obj=Nic, u.misc.p1=Flow
   static void ev_ack(Event& e);      // obj=Nic, u.ack=AckNode handle
 
   void kick();
@@ -96,8 +96,11 @@ class Nic : public Device {
   // here, which is what makes the uplink arbitration real.
   void transmit(const Packet& pkt);
   void send_packet(Flow* f, std::uint32_t seq, bool retx);
+  // Retransmission timer, at most one pending event per flow (see
+  // Flow::rto_at): arm_rto moves the deadline, post_rto schedules it.
   void arm_rto(Flow* f);
-  void fire_rto(Flow* f, int gen);
+  void post_rto(Flow* f);
+  void fire_rto(Flow* f, Time at, std::uint64_t key);
   void receive_data(const Packet& pkt);
   // ack_lat = the triggering data packet's stamped reverse latency (the
   // Flow's own ack_lat is sender-shard state; see Packet::route).

@@ -123,8 +123,14 @@ struct Flow {
   Time last_progress = 0;
   Time last_rewind = -1;
   Time last_fast_retx = -1;
+  // Retransmission timer (Nic::arm_rto): the latest deadline and the
+  // event key minted for it. At most one RTO event per flow is pending
+  // (rto_armed); re-arming only moves this pair, and the pending event,
+  // when it fires early, re-posts itself at exactly (rto_at, rto_key).
+  Time rto_at = 0;
+  std::uint64_t rto_key = 0;
   bool sender_done = false;
-  int rto_gen = 0;               // invalidates stale RTO events
+  bool rto_armed = false;
   // Fault plane (source NIC's shard only): the FaultPlan epoch `path`
   // was resolved under (-1 = not yet resolved under a plan, so the first
   // send always validates), plus the capped exponential backoff state

@@ -190,7 +190,7 @@ struct Snapshot::Impl {
     kNicFlowStart = 0,  // u.misc.p1 = Flow*
     kNicTxDone = 1,     // no payload
     kNicWake = 2,       // u.timer.i0 = gate
-    kNicRto = 3,        // u.misc = {Flow*, generation}
+    kNicRto = 3,        // u.misc.p1 = Flow*
     kNicAck = 4,        // u.ack = AckNode
     kSwTxDone = 5,      // u.misc.i1 = egress port
     kSwRefresh = 6,     // no payload
@@ -412,7 +412,10 @@ struct Snapshot::Impl {
     w.i64(f.last_rewind);
     w.i64(f.last_fast_retx);
     w.u8(f.sender_done);
-    w.i32(f.rto_gen);
+    // v3: the one pending RTO event's deadline, key and armed bit.
+    w.i64(f.rto_at);
+    w.u64(f.rto_key);
+    w.u8(f.rto_armed);
     w.i32(f.route_epoch);
     w.u8(f.backoff_exp);
     w.i64(f.parked_since);
@@ -456,7 +459,9 @@ struct Snapshot::Impl {
     f->last_rewind = r.i64();
     f->last_fast_retx = r.i64();
     f->sender_done = r.u8() != 0;
-    f->rto_gen = r.i32();
+    f->rto_at = r.i64();
+    f->rto_key = r.u64();
+    f->rto_armed = r.u8() != 0;
     f->route_epoch = r.i32();
     f->backoff_exp = r.u8();
     f->parked_since = r.i64();
@@ -967,7 +972,6 @@ struct Snapshot::Impl {
           break;
         case kNicRto:
           w.u64(static_cast<const Flow*>(e->u.misc.p1)->uid);
-          w.i32(e->u.misc.i1);
           break;
         case kNicAck:
           save_ack(w, e->u.ack.node->ack);
@@ -1031,8 +1035,7 @@ struct Snapshot::Impl {
         case kNicRto: {
           Flow* f = net.flow(r.u64());
           if (f == nullptr) r.fail();
-          const std::int32_t gen = r.i32();
-          e->u.misc = {f, gen, 0};
+          e->u.misc = {f, 0, 0};
           break;
         }
         case kNicAck:

@@ -48,8 +48,9 @@ class Snapshot {
   // Image format version. Bump on any layout change; restore() rejects
   // other versions. v2: setup-space sequence counters, packed route ids
   // in the flow section, intrusive ready-FIFO + lazy sender slabs in the
-  // NIC section.
-  static constexpr std::uint32_t kVersion = 2;
+  // NIC section. v3: one pending RTO event per flow — the flow section
+  // stores its deadline, key and armed bit instead of a generation.
+  static constexpr std::uint32_t kVersion = 3;
 
   // Serializes the complete mutable state of (sim, net) at simulated time
   // `at`. Preconditions: the engine is idle (run_until(at) returned) and

@@ -63,20 +63,23 @@ bool env_switch(const char* name, bool def) {
 }  // namespace
 
 Event* Shard::make(int src_entity, Time at) {
+  return make_keyed(next_key(src_entity), at);
+}
+
+std::uint64_t Shard::next_key(int src_entity) {
+  // Per-entity counters are safe from inside a stolen batch: a batch owns
+  // every entity of its locality group for the window.
+  std::uint32_t& seq = engine_->seq_[static_cast<std::size_t>(src_entity)];
+  return (static_cast<std::uint64_t>(src_entity) << 32) | (kRunSeqBase | seq++);
+}
+
+Event* Shard::make_keyed(std::uint64_t key, Time at) {
   StealBatch* b = detail::tl_batch;
-  if (b != nullptr && b->owner == this) {
-    Event* e = b->pool.alloc();
-    e->at = at < b->now ? b->now : at;
-    e->key = (static_cast<std::uint64_t>(src_entity) << 32) |
-             (kRunSeqBase |
-              engine_->seq_[static_cast<std::size_t>(src_entity)]++);
-    return e;
-  }
-  Event* e = pool_.alloc();
-  e->at = at < now_ ? now_ : at;
-  e->key = (static_cast<std::uint64_t>(src_entity) << 32) |
-           (kRunSeqBase |
-            engine_->seq_[static_cast<std::size_t>(src_entity)]++);
+  const bool stolen = b != nullptr && b->owner == this;
+  Event* e = stolen ? b->pool.alloc() : pool_.alloc();
+  const Time floor = stolen ? b->now : now_;
+  e->at = at < floor ? floor : at;
+  e->key = key;
   return e;
 }
 

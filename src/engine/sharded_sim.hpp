@@ -157,6 +157,17 @@ class Shard {
   // reserved entity.
   Event* make(int src_entity, Time at);
 
+  // `src_entity`'s next runtime key, minted without an event: a timer
+  // that re-arms far more often than it fires (the NIC's RTO) claims its
+  // place in the (at, key) order at arm time and posts it later through
+  // make_keyed, so the deferred post sorts exactly where an eager one
+  // would have.
+  std::uint64_t next_key(int src_entity);
+
+  // Fresh pooled event carrying a key minted earlier by next_key(),
+  // clamped to the shard clock like make().
+  Event* make_keyed(std::uint64_t key, Time at);
+
   // Fresh pooled event keyed in `src_entity`'s *setup* sequence space
   // (see kRunSeqBase): pre-run installation and streamed flow starts,
   // which must mint identical keys whether the arrival was materialized

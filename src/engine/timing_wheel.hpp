@@ -16,8 +16,8 @@
 //                migrated bucket-ward as the wheel turns past them.
 //   batch        the bucket currently draining, heapified once into a
 //                contiguous (at, key) min-heap of 24-byte items — pops
-//                sift a few dozen hot entries instead of the whole
-//                pending set.
+//                sift one bucket's entries instead of the whole pending
+//                set.
 //
 // Determinism: pop order is *exactly* ascending (timestamp, key) — the
 // same total order as the reference heap — for any interleaving of
@@ -47,14 +47,15 @@ namespace bfc {
 
 class TimingWheel {
  public:
-  // Geometry. kSlotBits trades batch size against wheel memory: 512 ns
-  // buckets hold a few dozen events each on a busy 1024-host shard, and
-  // 4096 of them cover not just every intra-fabric delay (1 us links,
-  // ~120 ns MTU serialization at 100 Gbps, the 5 us BFC refresh) but the
-  // lossless family's ~1 ms RoCE-style RTO re-arm — which fires on every
-  // ack, so pushing it through the far heap would re-create the O(log n)
-  // sift the wheel exists to remove. Only multi-ms timers and far-future
-  // pre-seeded arrivals overflow.
+  // Geometry. kSlotBits trades batch size against wheel memory. 4096
+  // buckets of 512 ns cover every intra-fabric delay (1 us links, ~120 ns
+  // MTU serialization at 100 Gbps, the 5 us BFC refresh) and the lossless
+  // family's ~1 ms RoCE-style RTO, so each flow's one pending RTO event
+  // (Nic::arm_rto) stays out of the O(log n) far heap. Buckets are dense:
+  // perfbench incast_bfc (128 hosts, 1 shard) drains ~1,400 events per
+  // 512 ns bucket (3.87M events over 1.4 ms), and a 2-shard t3_1024 shard
+  // about as many. Only multi-ms timers and far-future pre-seeded
+  // arrivals overflow.
   static constexpr int kSlotBits = 9;               // 512 ns per slot
   static constexpr int kWheelBits = 12;             // 4096 slots -> ~2.1 ms
   static constexpr int kSlots = 1 << kWheelBits;

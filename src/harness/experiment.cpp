@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "core/snapshot.hpp"
@@ -12,6 +13,30 @@
 #include "obs/trace.hpp"
 
 namespace bfc {
+
+namespace {
+
+// Index of the run_points point this thread is running (-1 outside
+// run_points): it names that point's trace export.
+thread_local long tl_point = -1;
+
+// The trace export path: BFC_TRACE_OUT (default bfc_trace.json), and
+// under run_points `<stem>.p<i><ext>` so concurrent points never
+// overwrite each other's traces.
+std::string trace_out_path() {
+  const char* env = std::getenv("BFC_TRACE_OUT");
+  const std::string out =
+      env == nullptr || *env == '\0' ? "bfc_trace.json" : env;
+  if (tl_point < 0) return out;
+  const std::size_t slash = out.find_last_of('/');
+  const std::size_t base = slash == std::string::npos ? 0 : slash + 1;
+  std::size_t cut = out.find_last_of('.');
+  if (cut == std::string::npos || cut <= base) cut = out.size();
+  return out.substr(0, cut) + ".p" + std::to_string(tl_point) +
+         out.substr(cut);
+}
+
+}  // namespace
 
 double bench_scale() {
   static const double scale = [] {
@@ -458,11 +483,10 @@ ExperimentResult ExperimentRun::collect() {
           static_cast<std::uint64_t>(m.gauges[obs::kArenaBlocks].hw);
     }
     if (tel->config().trace) {
-      const char* out = std::getenv("BFC_TRACE_OUT");
-      if (out == nullptr || *out == '\0') out = "bfc_trace.json";
-      if (!obs::write_chrome_trace(out, *tel)) {
+      const std::string out = trace_out_path();
+      if (!obs::write_chrome_trace(out.c_str(), *tel)) {
         std::fprintf(stderr, "run_experiment: cannot write trace '%s'\n",
-                     out);
+                     out.c_str());
       }
     }
     if (tel->flight_enabled()) {
@@ -485,8 +509,13 @@ void run_points(std::size_t n,
                 const std::function<void(std::size_t)>& point) {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t workers = std::min({n, hw, std::size_t{8}});
+  auto run = [&](std::size_t i) {
+    tl_point = static_cast<long>(i);
+    point(i);
+    tl_point = -1;
+  };
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) point(i);
+    for (std::size_t i = 0; i < n; ++i) run(i);
     return;
   }
   // Index-claiming pool: points share nothing mutable (each builds its
@@ -497,7 +526,7 @@ void run_points(std::size_t n,
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      point(i);
+      run(i);
     }
   };
   std::vector<std::thread> pool;

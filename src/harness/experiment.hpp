@@ -146,7 +146,9 @@ ExperimentResult run_experiment(const TopoGraph& topo,
 // min(n, hardware_concurrency, 8) threads — inline and in order when that
 // is 1 (the benches are memory-bound well before 8). point(i) must write
 // only its own result slot, so the caller's results are in input order
-// and byte-identical to a serial loop whatever the schedule.
+// and byte-identical to a serial loop whatever the schedule. Under
+// BFC_TRACE each point exports its own trace, `<stem>.p<i><ext>` of the
+// BFC_TRACE_OUT path.
 void run_points(std::size_t n, const std::function<void(std::size_t)>& point);
 
 // Everything a warm start needs beyond the Snapshot image: the samplers

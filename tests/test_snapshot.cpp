@@ -189,13 +189,14 @@ void check_rejection(const TopoGraph& topo) {
     CHECK(ExperimentRun::restore(topo, other, cp, &err) == nullptr);
     CHECK(err.find("fingerprint") != std::string::npos);
   }
-  // A well-formed *older*-version image (v1: serialized hop vectors, no
-  // setup-space counters) must be refused outright — the v2 reader never
-  // guesses at a v1 flow section. The header is 8 bytes of magic then a
-  // little-endian u32 version, so rewriting that word forges a v1 image.
-  {
+  // Well-formed *older*-version images must be refused outright — the
+  // reader never guesses at an old layout (v1: serialized hop vectors, no
+  // setup-space counters; v2: a per-flow RTO generation instead of the
+  // pending timer's deadline and key). The header is 8 bytes of magic
+  // then a little-endian u32 version, so rewriting that word forges one.
+  for (const int old_version : {1, 2}) {
     WarmCheckpoint bad = cp;
-    bad.image[8] = 1;
+    bad.image[8] = static_cast<std::uint8_t>(old_version);
     bad.image[9] = 0;
     bad.image[10] = 0;
     bad.image[11] = 0;

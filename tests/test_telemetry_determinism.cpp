@@ -5,8 +5,9 @@
 // bit-identical to the telemetry-off baseline at the same shard count
 // (and across shard counts, which the off-baseline itself asserts).
 // Also sanity-checks the exported Chrome trace: it must be non-trivial
-// and carry the per-shard track metadata Perfetto keys on, and writers
-// racing on one export path must leave one whole, parseable trace.
+// and carry the per-shard track metadata Perfetto keys on, writers
+// racing on one export path must leave one whole, parseable trace, and
+// run_points must give each traced point its own file.
 #include "harness/experiment.hpp"
 
 #include <atomic>
@@ -197,6 +198,31 @@ void check_concurrent_export() {
   std::remove(shared);
 }
 
+// run_points gives every traced point its own export, `<stem>.p<i><ext>`
+// of BFC_TRACE_OUT: two points (2 and 4 shards) leave two whole,
+// different traces, and nothing at the bare path.
+void check_per_point_export(const TopoGraph& topo) {
+  const char* bare = "test_telemetry_points.json";
+  const char* files[2] = {"test_telemetry_points.p0.json",
+                          "test_telemetry_points.p1.json"};
+  std::remove(bare);
+  for (const char* f : files) std::remove(f);
+  setenv("BFC_TRACE", "1", 1);
+  setenv("BFC_TRACE_OUT", bare, 1);
+  run_points(2, [&](std::size_t i) {
+    run_one(topo, 2 + 2 * static_cast<int>(i));
+  });
+  clear_knobs();
+  const std::string got[2] = {slurp(files[0]), slurp(files[1])};
+  for (const std::string& t : got) {
+    CHECK(t.find("\"traceEvents\"") != std::string::npos);
+    CHECK(JsonCheck(t).ok());
+  }
+  CHECK(got[0] != got[1]);
+  CHECK(slurp(bare).empty());
+  for (const char* f : files) std::remove(f);
+}
+
 }  // namespace
 
 int main() {
@@ -254,6 +280,7 @@ int main() {
   clear_knobs();
 
   check_concurrent_export();
+  check_per_point_export(topo);
 
   std::printf("test_telemetry_determinism: OK\n");
   return 0;

@@ -320,6 +320,27 @@ def render_rss(table, tolerance, n_history):
     return "\n".join(lines) + "\n"
 
 
+def render_engine_rows(rows):
+    """Per-(topo, shards) fig15 rows as the job summary shows them: Mev/s
+    beside wall time and the timing wheel's pending-event high-water mark.
+    Render only, never gated. Mev/s counts events, so a change that stops
+    scheduling dead events lowers it without slowing the run; wall time
+    and wheel_hw say which happened."""
+    if not rows:
+        return ""
+    lines = ["## Engine rows (not gated)", "",
+             "Mev/s counts events: read it with wall time, since fewer "
+             "events for the same simulation lowers Mev/s too.", "",
+             "| row | events | wall s | Mev/s | wheel_hw |",
+             "|---|---:|---:|---:|---:|"]
+    for r in rows:
+        lines.append("| {}@{}sh | {:,} | {:.3f} | {:.2f} | {:,} |".format(
+            r.get("topo"), r.get("shards"), r.get("events", 0),
+            r.get("wall_sec", 0), r.get("events_per_sec", 0) / 1e6,
+            r.get("wheel_hw", 0)))
+    return "\n".join(lines) + "\n"
+
+
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
@@ -776,6 +797,16 @@ def self_test():
         assert n == 1 and base == {("t3_4096", 1): 104_000}, \
             "history-file rows must seed the RSS window"
 
+    # The per-row engine table renders wheel_hw and wall time beside
+    # Mev/s, and is never gated.
+    eng = render_engine_rows([{"topo": "t1_128", "shards": 4,
+                               "events": 3_872_686, "wall_sec": 1.25,
+                               "events_per_sec": 3_098_149,
+                               "wheel_hw": 32_391}])
+    assert "| t1_128@4sh | 3,872,686 | 1.250 | 3.10 | 32,391 |" in eng, \
+        "engine rows must render Mev/s beside wall time and wheel_hw"
+    assert render_engine_rows([]) == "", "no rows -> no table"
+
     # Fault-plane gate: invariants always, recovery latency only on a
     # scale match, and no fault section means no fault gating.
     fault_base = {"scale": 1.0, "headline": {
@@ -877,6 +908,9 @@ def main():
     if traj:
         report += "\n" + traj
     cur_rows, _ = load_rows(args.current)
+    eng_report = render_engine_rows(cur_rows)
+    if eng_report:
+        report += "\n" + eng_report
     com_rows, com_scale = load_rows(args.baseline)
     rss_base, n_rss = rss_baseline(com_rows, com_scale, args.history,
                                    args.history_limit, cur_scale,
