@@ -140,9 +140,13 @@ void sched_heap_step(std::vector<RefItem>& heap, Rng& rng,
   std::push_heap(heap.begin(), heap.end(), RefLater{});
 }
 
-void sched_wheel_step(TimingWheel& wheel, Rng& rng, std::uint64_t& k) {
+// `max_delta` is the re-arm horizon: the default 200 us mixes packet- and
+// timer-scale delays across many buckets; kSlotNs - 1 re-arms into the
+// slot being drained or the next one.
+void sched_wheel_step(TimingWheel& wheel, Rng& rng, std::uint64_t& k,
+                      Time max_delta = 200'000) {
   Event* e = wheel.pop_until(TimingWheel::kNever);
-  e->at += static_cast<Time>(rng.uniform_int(1, 200'000));
+  e->at += static_cast<Time>(rng.uniform_int(1, max_delta));
   e->key = k++;
   wheel.push(e);
 }
@@ -168,6 +172,22 @@ void BM_SchedWheelPushPop(benchmark::State& state) {
   for (auto _ : state) sched_wheel_step(wheel, rng, k);
 }
 BENCHMARK(BM_SchedWheelPushPop)->Arg(1024)->Arg(65536);
+
+// Same seed, but every re-arm lands less than one slot ahead, so a push
+// lands in the slot being drained (and pops through the drain's late
+// heap) or in the next one — the path a dense incast bucket stresses.
+void BM_SchedWheelDrainSlotPushPop(benchmark::State& state) {
+  EventPool pool;
+  TimingWheel wheel;
+  Rng rng(1);
+  std::uint64_t k = 0;
+  sched_seed(pool, rng, k, static_cast<int>(state.range(0)), nullptr,
+             &wheel);
+  for (auto _ : state) {
+    sched_wheel_step(wheel, rng, k, TimingWheel::kSlotNs - 1);
+  }
+}
+BENCHMARK(BM_SchedWheelDrainSlotPushPop)->Arg(1024)->Arg(65536);
 
 void BM_SizeDistSample(benchmark::State& state) {
   const SizeDist& d = SizeDist::by_name("google");

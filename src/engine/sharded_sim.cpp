@@ -11,10 +11,6 @@
 
 namespace bfc {
 
-namespace detail {
-thread_local StealBatch* tl_batch = nullptr;
-}  // namespace detail
-
 namespace {
 
 constexpr Time kTimeInf = std::numeric_limits<Time>::max();
@@ -24,15 +20,6 @@ constexpr Time kTimeInf = std::numeric_limits<Time>::max();
 constexpr int kStealDone = 0;
 constexpr int kStealOffered = 1;
 constexpr int kStealClaimed = 2;
-
-// Min-heap comparator over (at, key) — the engine's event order contract,
-// same as TimingWheel's.
-struct LaterItem {
-  bool operator()(const StealBatch::Item& a, const StealBatch::Item& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.key > b.key;
-  }
-};
 
 long env_long(const char* name, long def, long lo, long hi) {
   const char* env = std::getenv(name);
@@ -612,7 +599,7 @@ void ShardedSimulator::run_channel_coop(Time stop) {
 // across groups (device/queue state, sequence counters, per-node RNGs,
 // flow sender/receiver halves). Deterministic because each batch runs its
 // events in exact (at, key) order — including events it posts to itself
-// inside the window, via the batch heap — and the merge-back happens in
+// inside the window, via the batch's drain — and the merge-back happens in
 // group order after every batch completed, feeding a wheel/stats layer
 // that is insensitive to inter-group arrival order.
 
@@ -634,20 +621,20 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
   }
   if (pinned || sh.scratch_.size() < steal_threshold_) {
     // Closure in the window (may read the whole shard) or not enough work
-    // to pay for the split: put everything back — pushes at or below the
-    // pop cursor land in the live batch heap, preserving order — and run
-    // the full window serially.
-    for (Event* e : sh.scratch_) sh.wheel_.push(e);
+    // to pay for the split: put everything back onto the wheel's sorted
+    // run, order intact, and run the full window serially.
+    sh.wheel_.unpop(sh.scratch_);
     sh.scratch_.clear();
     sh.run_window(h, stop);
     return;
   }
 
   // Partition into per-group batches. scratch_ is (at, key)-sorted from
-  // the wheel, and a sorted array is a valid min-heap, so each batch's
-  // heap seeds ready to pop.
+  // the wheel; walking it latest-first hands each batch its events
+  // earliest-last, so every drain's sorted run seeds ready to pop.
   sh.active_.clear();
-  for (Event* e : sh.scratch_) {
+  for (auto it = sh.scratch_.rbegin(); it != sh.scratch_.rend(); ++it) {
+    Event* e = *it;
     const int g = group_of_event(e);
     int slot = sh.group_slot_[static_cast<std::size_t>(g)];
     if (slot < 0) {
@@ -672,8 +659,7 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
       sh.active_.push_back(b);
       sh.group_slot_[static_cast<std::size_t>(g)] = slot;
     }
-    sh.active_[static_cast<std::size_t>(slot)]->heap.push_back(
-        {e->at, e->key, e});
+    sh.active_[static_cast<std::size_t>(slot)]->drain.push_earliest(e);
   }
   sh.scratch_.clear();
   for (StealBatch* b : sh.active_) {
@@ -781,11 +767,8 @@ void ShardedSimulator::split_window(Shard& sh, Time w0, Time h, Time stop) {
 
 void ShardedSimulator::execute_batch(StealBatch& b, int executor) {
   detail::tl_batch = &b;
-  std::vector<StealBatch::Item>& heap = b.heap;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), LaterItem{});
-    Event* e = heap.back().e;
-    heap.pop_back();
+  while (!b.drain.empty()) {
+    Event* e = b.drain.pop();
     if (e->at < b.w0 || e->at >= b.w1) {
       std::fprintf(stderr,
                    "ShardedSimulator: stolen batch (shard %d, group %d, "
@@ -813,8 +796,7 @@ void ShardedSimulator::steal_post_local(StealBatch& b, Event* e) {
   if (g == b.group && e->at < b.w1) {
     // Same group, same window: interleave into the batch in (at, key)
     // order, exactly as the wheel would have.
-    b.heap.push_back({e->at, e->key, e});
-    std::push_heap(b.heap.begin(), b.heap.end(), LaterItem{});
+    b.drain.push(e);
     return;
   }
   if (e->at < b.w1) {

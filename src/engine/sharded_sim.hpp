@@ -68,18 +68,12 @@ constexpr std::uint32_t kRunSeqBase = 0x80000000u;
 // box are deferred and merged back by the owner, in group order, after
 // every batch of the window has completed.
 struct StealBatch {
-  struct Item {
-    Time at;
-    std::uint64_t key;
-    Event* e;
-  };
-
   Shard* owner = nullptr;
   int group = -1;
   Time w0 = 0;       // window start (inclusive)
   Time w1 = 0;       // window end (exclusive): no batch event runs past it
   Time now = 0;      // virtual clock while executing
-  std::vector<Item> heap;  // min-heap on (at, key); seeded sorted
+  TimingWheel::Drain drain;  // (at, key) order; seeded as a sorted run
   // Private allocators: recycled events and payload nodes land here and
   // migrate back through normal arena traffic (same contract as
   // cross-shard event recycling).
@@ -107,8 +101,11 @@ struct StealBatch {
 namespace detail {
 // Non-null exactly while this thread executes a stolen batch; Shard's
 // allocation/post/clock entry points consult it to redirect into the
-// batch's private state.
-extern thread_local StealBatch* tl_batch;
+// batch's private state. Defined inline with a constant initializer so
+// every reader sees a plain TLS load: an `extern` declaration makes GCC
+// route each access through a weak dynamic-init wrapper, which UBSan
+// reports as a null load.
+inline thread_local StealBatch* tl_batch = nullptr;
 }  // namespace detail
 
 // One worker's event loop: a hierarchical timing wheel of cache-line

@@ -14,21 +14,30 @@
 //   far heap     rare long-delay events (ms-scale RTOs, far pre-seeded
 //                flow starts) beyond the horizon; a plain binary heap,
 //                migrated bucket-ward as the wheel turns past them.
-//   batch        the bucket currently draining, heapified once into a
-//                contiguous (at, key) min-heap of 24-byte items — pops
-//                sift one bucket's entries instead of the whole pending
-//                set.
+//   drain        the bucket currently draining, sorted once into a
+//                contiguous run of 24-byte (at, key) items, descending so
+//                a pop is a pop_back; events pushed into the draining
+//                slot meanwhile go to a small (at, key) min-heap `late`,
+//                and each pop takes the earlier of the two heads.
+//                One sort per bucket is cheaper than a data-dependent
+//                O(log m) heap sift on every pop; only the late
+//                arrivals, a fraction of the bucket, sift.
 //
 // Determinism: pop order is *exactly* ascending (timestamp, key) — the
 // same total order as the reference heap — for any interleaving of
 // pushes and pops with at >= the last popped timestamp. Buckets partition
 // events by timestamp range (slot s holds at in [s*kSlotNs, (s+1)*kSlotNs)
-// and every bucket not yet drained is strictly later than the batch), so
-// draining buckets in slot order with a per-bucket (at, key) heap yields
-// the global order; same-timestamp ties resolve by key inside the batch
-// heap regardless of arrival order. tests/test_timing_wheel.cpp checks
-// this differentially against the reference heap, ties and far-horizon
-// overflow included.
+// and every bucket not yet drained is strictly later than the drain), so
+// draining buckets in slot order yields the global order. Inside the
+// drain, the run and the late heap are each ordered by (at, key) and a
+// pop compares their heads; keys are unique, so the heads never tie and
+// same-timestamp events resolve by key regardless of arrival order.
+// unpop() puts back a window the engine popped but chose not to run by
+// appending it to the run's earliest end: every popped event precedes
+// everything still pending, so the run stays sorted and the put-back
+// window never floods the late heap. tests/test_timing_wheel.cpp checks
+// all of this differentially against the reference heap, ties,
+// draining-slot pushes, unpop and far-horizon overflow included.
 //
 // min_time() is exact (not a bound): the engine's conservative-lookahead
 // window start is the cross-shard minimum of it, and an overestimate
@@ -63,6 +72,100 @@ class TimingWheel {
   static constexpr Time kHorizonNs = Time{kSlots} << kSlotBits;
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
+  struct Item {
+    Time at;
+    std::uint64_t key;
+    Event* e;
+  };
+  // Max-heap comparator putting the earliest (at, key) at the front —
+  // the same order as the engine's event key contract.
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.key > b.key;
+    }
+  };
+
+  // Exact (at, key)-ordered drain of an event set that is mostly known
+  // before draining starts: a run sorted once, descending so the earliest
+  // is at the back, plus a min-heap `late_` for events that arrive while
+  // it drains. The wheel drains its current bucket through one; a stolen
+  // batch (engine/sharded_sim.hpp) drains its window slice through
+  // another.
+  class Drain {
+   public:
+    bool empty() const { return run_.empty() && late_.empty(); }
+    // Earliest pending timestamp; requires !empty().
+    Time front_at() const {
+      return late_first() ? late_.front().at : run_.back().at;
+    }
+
+    // Any event whose timestamp is >= the last one popped.
+    void push(Event* e) {
+      late_.push_back({e->at, e->key, e});
+      std::push_heap(late_.begin(), late_.end(), Later{});
+    }
+    // Puts `e` at the run's earliest end. Requires (e->at, e->key) to
+    // precede everything pending, so the run stays sorted for free.
+    void push_earliest(Event* e) { run_.push_back({e->at, e->key, e}); }
+    // Appends the intrusive chain `e` (linked by Event::next, unlinked
+    // here) to the run and sorts it. Requires empty().
+    void load(Event* e) {
+      while (e != nullptr) {
+        Event* nxt = e->next;
+        e->next = nullptr;
+        run_.push_back({e->at, e->key, e});
+        e = nxt;
+      }
+      std::sort(run_.begin(), run_.end(), Later{});
+    }
+
+    // Pops the earliest event; requires !empty().
+    Event* pop() { return take(late_first()); }
+    // Pops the earliest event if its timestamp is < `limit`; nullptr
+    // (state intact) otherwise, or when empty.
+    Event* pop_until(Time limit) {
+      const bool late = late_first();
+      if (!late && run_.empty()) return nullptr;
+      if ((late ? late_.front().at : run_.back().at) >= limit) return nullptr;
+      return take(late);
+    }
+
+    // Warms both heads: either may pop next.
+    void prefetch() const {
+      if (!run_.empty()) __builtin_prefetch(run_.back().e);
+      if (!late_.empty()) __builtin_prefetch(late_.front().e);
+    }
+
+    template <class Fn>
+    void for_each(Fn&& fn) const {
+      for (const Item& it : run_) fn(it.e);
+      for (const Item& it : late_) fn(it.e);
+    }
+
+   private:
+    // True when the late heap's head precedes the run's (keys are unique,
+    // so the two heads never tie).
+    bool late_first() const {
+      return !late_.empty() &&
+             (run_.empty() || Later{}(run_.back(), late_.front()));
+    }
+    Event* take(bool late) {
+      if (late) {
+        Event* e = late_.front().e;
+        std::pop_heap(late_.begin(), late_.end(), Later{});
+        late_.pop_back();
+        return e;
+      }
+      Event* e = run_.back().e;
+      run_.pop_back();
+      return e;
+    }
+
+    std::vector<Item> run_;   // descending (at, key): back() is earliest
+    std::vector<Item> late_;  // (at, key) min-heap of arrivals mid-drain
+  };
+
   TimingWheel()
       : bucket_(kSlots, nullptr),
         bucket_min_(kSlots, kNever),
@@ -76,9 +179,7 @@ class TimingWheel {
 
   // Warms the cache line of the event most likely to pop next while the
   // caller is still dispatching the current one.
-  void prefetch_next() const {
-    if (!batch_.empty()) __builtin_prefetch(batch_.front().e);
-  }
+  void prefetch_next() const { drain_.prefetch(); }
 
   // Schedules `e` by (e->at, e->key). Requires e->at >= the timestamp of
   // the last event popped (the engine clamps to the shard clock).
@@ -86,9 +187,8 @@ class TimingWheel {
     ++size_;
     const std::int64_t s = slot_of(e->at);
     if (s <= cur_) {
-      // Current (or straggler) slot: straight into the live batch heap.
-      batch_.push_back({e->at, e->key, e});
-      std::push_heap(batch_.begin(), batch_.end(), Later{});
+      // Current (or straggler) slot: into the drain's late heap.
+      drain_.push(e);
       return;
     }
     if (s < cur_ + kSlots) {
@@ -107,10 +207,22 @@ class TimingWheel {
     std::push_heap(far_.begin(), far_.end(), Later{});
   }
 
-  // Exact earliest pending timestamp (kNever when empty). The batch is
+  // Returns a window of just-popped events, in the ascending order they
+  // popped in, to the wheel: they go back onto the drain's sorted run,
+  // earliest last. Valid because every popped event precedes everything
+  // still pending; re-pushing them instead would land them all in the
+  // late heap and bring back a sift per pop.
+  void unpop(const std::vector<Event*>& asc) {
+    for (auto it = asc.rbegin(); it != asc.rend(); ++it) {
+      drain_.push_earliest(*it);
+    }
+    size_ += asc.size();
+  }
+
+  // Exact earliest pending timestamp (kNever when empty). The drain is
   // never later than any bucket, buckets never later than the far heap.
   Time min_time() const {
-    if (!batch_.empty()) return batch_.front().at;
+    if (!drain_.empty()) return drain_.front_at();
     const std::int64_t s = next_occupied_slot();
     if (s >= 0) return bucket_min_[static_cast<std::size_t>(s & kMask)];
     if (!far_.empty()) return far_.front().at;
@@ -122,12 +234,9 @@ class TimingWheel {
   // non-decreasing limits drain in exact (at, key) order.
   Event* pop_until(Time limit) {
     for (;;) {
-      if (!batch_.empty()) {
-        if (batch_.front().at >= limit) return nullptr;
-        std::pop_heap(batch_.begin(), batch_.end(), Later{});
-        Event* e = batch_.back().e;
-        batch_.pop_back();
-        --size_;
+      if (!drain_.empty()) {
+        Event* e = drain_.pop_until(limit);
+        if (e != nullptr) --size_;
         return e;
       }
       if (size_ == 0) return nullptr;
@@ -148,11 +257,12 @@ class TimingWheel {
   }
 
   // Checkpoint plumbing (core/snapshot.hpp): visits every pending event —
-  // live batch, bucket chains, far heap — without disturbing the wheel.
-  // Visit order is unspecified; the snapshot codec sorts by (at, key).
+  // drain (run and late heap), bucket chains, far heap — without
+  // disturbing the wheel. Visit order is unspecified; the snapshot codec
+  // sorts by (at, key).
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (const Item& it : batch_) fn(it.e);
+    drain_.for_each(fn);
     for (Event* chain : bucket_) {
       for (Event* e = chain; e != nullptr; e = e->next) fn(e);
     }
@@ -161,20 +271,6 @@ class TimingWheel {
 
  private:
   static constexpr std::int64_t kMask = kSlots - 1;
-
-  struct Item {
-    Time at;
-    std::uint64_t key;
-    Event* e;
-  };
-  // Max-heap comparator putting the earliest (at, key) at the front —
-  // the same order as the engine's event key contract.
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.key > b.key;
-    }
-  };
 
   static std::int64_t slot_of(Time at) { return at >> kSlotBits; }
 
@@ -200,22 +296,17 @@ class TimingWheel {
     return -1;
   }
 
-  // Advances the drain cursor to absolute slot `s`, heapifies its chain
-  // into the batch, and pulls far events that are now inside the horizon.
+  // Advances the drain cursor to absolute slot `s`, sorts its chain into
+  // the (empty) drain, and pulls far events that are now inside the
+  // horizon.
   void load_slot(std::int64_t s) {
     cur_ = s;
     const auto b = static_cast<std::size_t>(s & kMask);
     occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     bucket_min_[b] = kNever;
-    Event* e = bucket_[b];
+    Event* chain = bucket_[b];
     bucket_[b] = nullptr;
-    while (e != nullptr) {
-      Event* nxt = e->next;
-      e->next = nullptr;
-      batch_.push_back({e->at, e->key, e});
-      e = nxt;
-    }
-    std::make_heap(batch_.begin(), batch_.end(), Later{});
+    drain_.load(chain);
     migrate_far();
   }
 
@@ -229,8 +320,8 @@ class TimingWheel {
     }
   }
 
-  std::int64_t cur_ = 0;            // absolute slot the batch drains
-  std::vector<Item> batch_;         // (at, key) min-heap of slot cur_
+  std::int64_t cur_ = 0;            // absolute slot the drain holds
+  Drain drain_;                     // slot cur_ (and earlier stragglers)
   std::vector<Event*> bucket_;      // intrusive chains, slot -> events
   std::vector<Time> bucket_min_;    // exact earliest `at` per bucket
   std::vector<std::uint64_t> occ_;  // occupancy bitmap over buckets
